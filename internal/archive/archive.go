@@ -49,6 +49,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"hash"
 	"io"
 	"os"
 	"path/filepath"
@@ -252,7 +253,7 @@ type priceDoc struct {
 	Points []prices.Point `json:"points"`
 }
 
-// Write persists a dataset into dir in the current default format (v2),
+// Write persists a dataset into dir in the default format (v3),
 // returning the manifest. meta carries free-form provenance (seed,
 // scenario, scale) for the manifest; it does not affect restoration.
 func Write(dir string, ds *dataset.Dataset, meta map[string]string) (*Manifest, error) {
@@ -356,7 +357,51 @@ func writePrices(dir string, format Format, pr *prices.Series) (FileInfo, error)
 	return fi, err
 }
 
-// checksum computes the SHA-256 and size of a file.
+// writeFile creates <dir>/<name><ext>, fills it through encode and
+// returns its integrity record, with a path relative to root. Every
+// format's data files go through here. The SHA-256 and size are taken
+// over the bytes as the file accepts them, so the record costs no second
+// pass over what was just written; verifyFile's re-read is for readers.
+func writeFile(root, dir, name, ext string, count int, encode func(io.Writer) error) (FileInfo, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return FileInfo{}, err
+	}
+	path := filepath.Join(dir, name+ext)
+	rel, err := filepath.Rel(root, path)
+	if err != nil {
+		return FileInfo{}, err
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return FileInfo{}, err
+	}
+	hw := &hashingWriter{w: f, h: sha256.New()}
+	if err := encode(hw); err != nil {
+		_ = f.Close() // encode error wins; the file is junk either way
+		return FileInfo{}, fmt.Errorf("archive: write %s: %w", name, err)
+	}
+	if err := f.Close(); err != nil {
+		return FileInfo{}, err
+	}
+	return FileInfo{Name: filepath.ToSlash(rel), Count: count, Bytes: hw.n, SHA256: hex.EncodeToString(hw.h.Sum(nil))}, nil
+}
+
+// hashingWriter passes writes through to w and feeds exactly the bytes
+// w accepted into h, counting them.
+type hashingWriter struct {
+	w io.Writer
+	h hash.Hash
+	n int64
+}
+
+func (hw *hashingWriter) Write(p []byte) (int, error) {
+	n, err := hw.w.Write(p)
+	_, _ = hw.h.Write(p[:n]) // hash.Hash.Write never returns an error
+	hw.n += int64(n)
+	return n, err
+}
+
+// checksum computes the SHA-256 and size of a file on disk.
 func checksum(path string) (string, int64, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -369,20 +414,6 @@ func checksum(path string) (string, int64, error) {
 		return "", 0, err
 	}
 	return hex.EncodeToString(h.Sum(nil)), n, nil
-}
-
-// fileInfoFor builds a data file's integrity record with a path relative
-// to the archive root.
-func fileInfoFor(root, path string, count int) (FileInfo, error) {
-	rel, err := filepath.Rel(root, path)
-	if err != nil {
-		return FileInfo{}, err
-	}
-	sum, size, err := checksum(path)
-	if err != nil {
-		return FileInfo{}, err
-	}
-	return FileInfo{Name: filepath.ToSlash(rel), Count: count, Bytes: size, SHA256: sum}, nil
 }
 
 // verifyFile checks a data file against its manifest record before any

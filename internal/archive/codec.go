@@ -54,23 +54,12 @@ const (
 // integrity record (path relative to root) plus each frame's byte offset
 // in the uncompressed stream, which the blocks file turns into its index.
 func writeSeg[T any](root, segDir, name string, docs []T) (FileInfo, []int64, error) {
-	if err := os.MkdirAll(segDir, 0o755); err != nil {
-		return FileInfo{}, nil, err
-	}
-	path := filepath.Join(segDir, name+segExt)
-	f, err := os.Create(path)
-	if err != nil {
-		return FileInfo{}, nil, err
-	}
-	offsets, err := encodeFrames(f, docs)
-	if err != nil {
-		_ = f.Close() // encode error wins; the file is junk either way
-		return FileInfo{}, nil, fmt.Errorf("archive: write %s: %w", name, err)
-	}
-	if err := f.Close(); err != nil {
-		return FileInfo{}, nil, err
-	}
-	fi, err := fileInfoFor(root, path, len(docs))
+	var offsets []int64
+	fi, err := writeFile(root, segDir, name, segExt, len(docs), func(w io.Writer) error {
+		var err error
+		offsets, err = encodeFrames(w, docs)
+		return err
+	})
 	return fi, offsets, err
 }
 

@@ -2,6 +2,7 @@ package archive
 
 import (
 	"bufio"
+	"bytes"
 	"compress/gzip"
 	"crypto/sha256"
 	"encoding/binary"
@@ -115,80 +116,98 @@ func (w *colWriter) hash(h types.Hash) {
 	w.uvarint(i)
 }
 
+// chunkLevel is the deflate level of every v3 chunk stream. It was
+// picked from a level sweep over a bpm-200 world (README "Archive
+// format"): level 5 writes in about 60% of level 9's time for 0.4% more
+// bytes; levels 4 and below cost more than 1% in bytes, and level 1
+// breaks the 3× margin over v2 on the bpm-50 world.
+const chunkLevel = 5
+
+// Chunk-encode scratch pools. A fresh deflater costs about 0.9 MB and a
+// Write makes one chunk per (month, column), so the deflater and its
+// 64 KiB bufio buffer recycle across chunks and across the parallel
+// segment-encode workers. Reset discards every bit of state a previous
+// chunk left behind, including the error of a write that failed
+// part-way, so pooling changes no byte of output.
+var (
+	chunkBufWPool  = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 1<<16) }}
+	chunkGzipWPool = sync.Pool{New: func() any {
+		zw, err := gzip.NewWriterLevel(nil, chunkLevel)
+		if err != nil {
+			panic(err) // chunkLevel is a constant, valid level
+		}
+		return zw
+	}}
+)
+
 // writeChunk persists one column chunk into <segDir>/<col>.col: plain
 // header, then the gzip stream of dictionaries, row count and body.
 // Returns the file's integrity record with Count = rows.
 func writeChunk(root, segDir, col string, rows int, w *colWriter) (FileInfo, error) {
-	if err := os.MkdirAll(segDir, 0o755); err != nil {
-		return FileInfo{}, err
-	}
 	if len(col) > 255 {
 		return FileInfo{}, fmt.Errorf("archive: column name %q too long", col)
 	}
-	path := filepath.Join(segDir, col+colExt)
-	f, err := os.Create(path)
-	if err != nil {
-		return FileInfo{}, err
-	}
-	err = func() error {
-		bw := bufio.NewWriterSize(f, 1<<16)
-		if _, err := bw.WriteString(colMagic); err != nil {
-			return err
-		}
-		if err := bw.WriteByte(colCodecByte); err != nil {
-			return err
-		}
-		if err := bw.WriteByte(byte(len(col))); err != nil {
-			return err
-		}
-		if _, err := bw.WriteString(col); err != nil {
-			return err
-		}
-		zw, err := gzip.NewWriterLevel(bw, gzip.BestCompression)
-		if err != nil {
-			return err
-		}
-		var lenBuf [binary.MaxVarintLen64]byte
-		writeUvarint := func(v uint64) error {
-			n := binary.PutUvarint(lenBuf[:], v)
-			_, err := zw.Write(lenBuf[:n])
-			return err
-		}
-		if err := writeUvarint(uint64(len(w.addrList))); err != nil {
-			return err
-		}
-		for _, a := range w.addrList {
-			if _, err := zw.Write(a[:]); err != nil {
-				return err
-			}
-		}
-		if err := writeUvarint(uint64(len(w.hashList))); err != nil {
-			return err
-		}
-		for _, h := range w.hashList {
-			if _, err := zw.Write(h[:]); err != nil {
-				return err
-			}
-		}
-		if err := writeUvarint(uint64(rows)); err != nil {
-			return err
-		}
-		if _, err := zw.Write(w.body); err != nil {
-			return err
-		}
-		if err := zw.Close(); err != nil {
-			return err
-		}
-		return bw.Flush()
+	return writeFile(root, segDir, col, colExt, rows, func(dst io.Writer) error {
+		return encodeChunk(dst, col, rows, w)
+	})
+}
+
+// encodeChunk writes one chunk file's bytes to dst through pooled
+// writers.
+func encodeChunk(dst io.Writer, col string, rows int, w *colWriter) error {
+	bw := chunkBufWPool.Get().(*bufio.Writer)
+	bw.Reset(dst)
+	zw := chunkGzipWPool.Get().(*gzip.Writer)
+	zw.Reset(bw)
+	defer func() {
+		bw.Reset(nil) // a pooled writer must not pin the file
+		chunkBufWPool.Put(bw)
+		chunkGzipWPool.Put(zw)
 	}()
-	if err != nil {
-		_ = f.Close() // encode error wins; the file is junk either way
-		return FileInfo{}, fmt.Errorf("archive: write %s: %w", col, err)
+	if _, err := bw.WriteString(colMagic); err != nil {
+		return err
 	}
-	if err := f.Close(); err != nil {
-		return FileInfo{}, err
+	if err := bw.WriteByte(colCodecByte); err != nil {
+		return err
 	}
-	return fileInfoFor(root, path, rows)
+	if err := bw.WriteByte(byte(len(col))); err != nil {
+		return err
+	}
+	if _, err := bw.WriteString(col); err != nil {
+		return err
+	}
+	var lenBuf [binary.MaxVarintLen64]byte
+	writeUvarint := func(v uint64) error {
+		n := binary.PutUvarint(lenBuf[:], v)
+		_, err := zw.Write(lenBuf[:n])
+		return err
+	}
+	if err := writeUvarint(uint64(len(w.addrList))); err != nil {
+		return err
+	}
+	for _, a := range w.addrList {
+		if _, err := zw.Write(a[:]); err != nil {
+			return err
+		}
+	}
+	if err := writeUvarint(uint64(len(w.hashList))); err != nil {
+		return err
+	}
+	for _, h := range w.hashList {
+		if _, err := zw.Write(h[:]); err != nil {
+			return err
+		}
+	}
+	if err := writeUvarint(uint64(rows)); err != nil {
+		return err
+	}
+	if _, err := zw.Write(w.body); err != nil {
+		return err
+	}
+	if err := zw.Close(); err != nil {
+		return err
+	}
+	return bw.Flush()
 }
 
 // colReader walks a decoded chunk body with its dictionaries. Every
@@ -201,6 +220,49 @@ type colReader struct {
 	body   []byte
 	off    int
 	err    error
+	// sc owns the buffers above and the hops and payouts in flight; see
+	// decodeScratch.
+	sc *decodeScratch
+	// topics and data are the buffers readLog appends log topics and
+	// data to; decodeLogsCol sizes them exactly beforehand.
+	topics []types.Hash
+	data   []byte
+}
+
+// decodeScratch holds everything a chunk decode needs only while it
+// runs: the decompressed body, the dictionaries, and the swap hops and
+// payouts of decoded payloads. Their totals are only known at the end,
+// so payloads first point into these growing buffers and moveHops then
+// copies them into one exact-size slab each. Decoded rows copy whatever
+// they keep out of the body and dictionaries, so once a decoder is done
+// nothing it returns points into its scratch, and release recycles the
+// whole of it through scratchPool.
+type decodeScratch struct {
+	body    []byte
+	addrs   []types.Address
+	hashes  []types.Hash
+	hops    []types.SwapHop
+	payouts []types.PayoutEntry
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(decodeScratch) }}
+
+// scratch returns the reader's scratch, creating an unpooled one for a
+// reader built by hand rather than by readChunk.
+func (r *colReader) scratch() *decodeScratch {
+	if r.sc == nil {
+		r.sc = new(decodeScratch)
+	}
+	return r.sc
+}
+
+// release returns the reader's scratch to the pool. The reader must not
+// be used afterwards, and nothing decoded may still point into it.
+func (r *colReader) release() {
+	sc := r.scratch()
+	r.sc, r.body, r.addrs, r.hashes = nil, nil, nil, nil
+	sc.hops, sc.payouts = sc.hops[:0], sc.payouts[:0]
+	scratchPool.Put(sc)
 }
 
 func (r *colReader) fail(format string, args ...any) {
@@ -318,7 +380,9 @@ var (
 // SHA-256 is computed on the fly while the stream drains — one read
 // pass — and compared against the manifest before any row is released.
 // wantCol guards against a chunk file renamed or cross-linked on disk.
-func readChunk(root string, fi FileInfo, wantCol string) (*colReader, error) {
+// The body and dictionaries live in pooled scratch: the caller decodes
+// and then calls release.
+func readChunk(root string, fi FileInfo, wantCol string) (_ *colReader, err error) {
 	path := filepath.Join(root, filepath.FromSlash(fi.Name))
 	f, err := os.Open(path)
 	if err != nil {
@@ -356,7 +420,12 @@ func readChunk(root string, fi FileInfo, wantCol string) (*colReader, error) {
 	zbr := chunkBufPool.Get().(*bufio.Reader)
 	zbr.Reset(zr)
 	defer chunkBufPool.Put(zbr)
-	r := &colReader{}
+	r := &colReader{sc: scratchPool.Get().(*decodeScratch)}
+	defer func() {
+		if err != nil {
+			r.release()
+		}
+	}()
 	readDict := func(kind string) (int, error) {
 		n, err := binary.ReadUvarint(zbr)
 		if err != nil {
@@ -371,7 +440,8 @@ func readChunk(root string, fi FileInfo, wantCol string) (*colReader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("archive: %s: %w", fi.Name, err)
 	}
-	r.addrs = make([]types.Address, nAddrs)
+	r.addrs = grow(r.sc.addrs, nAddrs)
+	r.sc.addrs = r.addrs
 	for i := range r.addrs {
 		if _, err := io.ReadFull(zbr, r.addrs[i][:]); err != nil {
 			return nil, fmt.Errorf("archive: %s: truncated address dictionary: %w", fi.Name, err)
@@ -381,7 +451,8 @@ func readChunk(root string, fi FileInfo, wantCol string) (*colReader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("archive: %s: %w", fi.Name, err)
 	}
-	r.hashes = make([]types.Hash, nHashes)
+	r.hashes = grow(r.sc.hashes, nHashes)
+	r.sc.hashes = r.hashes
 	for i := range r.hashes {
 		if _, err := io.ReadFull(zbr, r.hashes[i][:]); err != nil {
 			return nil, fmt.Errorf("archive: %s: truncated hash dictionary: %w", fi.Name, err)
@@ -395,14 +466,16 @@ func readChunk(root string, fi FileInfo, wantCol string) (*colReader, error) {
 		return nil, fmt.Errorf("archive: %s claims %d rows (corrupt count)", fi.Name, rows)
 	}
 	r.rows = int(rows)
-	body, err := io.ReadAll(io.LimitReader(zbr, maxChunkSize+1))
+	body := bytes.NewBuffer(r.sc.body[:0])
+	_, err = body.ReadFrom(io.LimitReader(zbr, maxChunkSize+1))
+	r.sc.body = body.Bytes()
 	if err != nil {
 		return nil, fmt.Errorf("archive: %s: %w", fi.Name, err)
 	}
-	if len(body) > maxChunkSize {
+	if body.Len() > maxChunkSize {
 		return nil, fmt.Errorf("archive: %s body exceeds the %d-byte chunk cap (corrupt)", fi.Name, maxChunkSize)
 	}
-	r.body = body
+	r.body = r.sc.body
 	if err := zr.Close(); err != nil {
 		return nil, fmt.Errorf("archive: %s: %w", fi.Name, err)
 	}
@@ -418,6 +491,15 @@ func readChunk(root string, fi FileInfo, wantCol string) (*colReader, error) {
 		return nil, fmt.Errorf("archive: %s has %d rows, manifest says %d", fi.Name, r.rows, fi.Count)
 	}
 	return r, nil
+}
+
+// grow returns s resized to n elements, reusing its array when it is
+// large enough. The elements are not cleared: callers overwrite them.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // Payload presence-mask codec. tx.Hash() covers every payload field
@@ -579,10 +661,12 @@ func (r *colReader) payload(depth int) types.Payload {
 			r.fail("hop count %d exceeds chunk body (corrupt)", n)
 			return p
 		}
-		p.Hops = make([]types.SwapHop, n)
-		for i := range p.Hops {
-			p.Hops[i] = types.SwapHop{Venue: r.addr(), TokenIn: r.addr(), TokenOut: r.addr()}
+		sc := r.scratch()
+		lo := len(sc.hops)
+		for i := uint64(0); i < n; i++ {
+			sc.hops = append(sc.hops, types.SwapHop{Venue: r.addr(), TokenIn: r.addr(), TokenOut: r.addr()})
 		}
+		p.Hops = sc.hops[lo:len(sc.hops):len(sc.hops)]
 	}
 	if m&pfAmountIn != 0 {
 		p.AmountIn = types.Amount(r.svarint())
@@ -621,10 +705,12 @@ func (r *colReader) payload(depth int) types.Payload {
 			r.fail("payout count %d exceeds chunk body (corrupt)", n)
 			return p
 		}
-		p.Payouts = make([]types.PayoutEntry, n)
-		for i := range p.Payouts {
-			p.Payouts[i] = types.PayoutEntry{To: r.addr(), Amount: types.Amount(r.svarint())}
+		sc := r.scratch()
+		lo := len(sc.payouts)
+		for i := uint64(0); i < n; i++ {
+			sc.payouts = append(sc.payouts, types.PayoutEntry{To: r.addr(), Amount: types.Amount(r.svarint())})
 		}
+		p.Payouts = sc.payouts[lo:len(sc.payouts):len(sc.payouts)]
 	}
 	if m&pfVenue != 0 {
 		p.Venue = r.addr()
@@ -642,4 +728,25 @@ func (r *colReader) payload(depth int) types.Payload {
 		p.AmountB = types.Amount(r.svarint())
 	}
 	return p
+}
+
+// moveHops copies every payload's hops and payouts (through Inner) out
+// of the scratch into one exact-size slab each, so the decoded chunk
+// holds two allocations where it used to hold one per payload.
+func (r *colReader) moveHops(txs []types.Transaction) {
+	sc := r.scratch()
+	hops := make([]types.SwapHop, len(sc.hops))
+	payouts := make([]types.PayoutEntry, len(sc.payouts))
+	for i := range txs {
+		for p := &txs[i].Payload; p != nil; p = p.Inner {
+			if p.Hops != nil {
+				n := copy(hops, p.Hops)
+				p.Hops, hops = hops[:n:n], hops[n:]
+			}
+			if p.Payouts != nil {
+				n := copy(payouts, p.Payouts)
+				p.Payouts, payouts = payouts[:n:n], payouts[n:]
+			}
+		}
+	}
 }

@@ -9,19 +9,17 @@ import (
 )
 
 // The v1 on-disk encoding: plain JSON-lines data files written and read
-// through the document store. New archives default to v2 (codec.go); this
+// through the document store. New archives default to v3 (v3.go); this
 // path stays so every archive written by earlier releases keeps reading
 // transparently, and `mevscope archive -format v1` can still produce it.
 
-// writeJSONL persists docs as <segDir>/<name>.jsonl through the document
-// store and returns its integrity record with a path relative to root.
+// writeJSONL persists docs as <segDir>/<name>.jsonl in the document
+// store's JSON-lines encoding and returns its integrity record with a
+// path relative to root.
 func writeJSONL[T any](root, segDir, name string, docs []T) (FileInfo, error) {
 	col := store.NewCollection[T](name)
 	col.InsertAll(docs...)
-	if err := col.SaveFile(segDir); err != nil {
-		return FileInfo{}, fmt.Errorf("archive: write %s: %w", name, err)
-	}
-	return fileInfoFor(root, filepath.Join(segDir, name+".jsonl"), len(docs))
+	return writeFile(root, segDir, name, ".jsonl", len(docs), col.WriteJSON)
 }
 
 // readJSONL loads one data file through the document store after

@@ -446,41 +446,42 @@ func (w *colWriter) writeLog(lg types.Log) {
 	w.raw(lg.Data)
 }
 
-// readLog decodes one log row written by writeLog.
+// readLog decodes one log row written by writeLog, appending its topics
+// and data to r.topics and r.data.
 func (r *colReader) readLog() types.Log {
+	var lg types.Log
 	switch tag := r.byte1(); tag {
 	case logShapeTransfer:
 		ev := events.Transfer{Token: r.addr(), From: r.addr(), To: r.addr()}
 		ev.Amount = types.Amount(r.uvarint())
-		return ev.Log()
+		lg, r.topics, r.data = ev.AppendLog(r.topics, r.data)
 	case logShapeSwap:
 		ev := events.Swap{Pool: r.addr(), Sender: r.addr(), Recipient: r.addr(),
 			TokenIn: r.addr(), TokenOut: r.addr()}
 		ev.AmountIn = types.Amount(r.uvarint())
 		ev.AmountOut = types.Amount(r.uvarint())
-		return ev.Log()
+		lg, r.topics, r.data = ev.AppendLog(r.topics, r.data)
 	case logShapeSync:
 		ev := events.Sync{Pool: r.addr()}
 		ev.ReserveA = types.Amount(r.uvarint())
 		ev.ReserveB = types.Amount(r.uvarint())
-		return ev.Log()
+		lg, r.topics, r.data = ev.AppendLog(r.topics, r.data)
 	case logShapeLiqAave, logShapeLiqCompound:
 		ev := events.Liquidation{Protocol: r.addr(), Liquidator: r.addr(), Borrower: r.addr(),
 			DebtToken: r.addr(), CollateralToken: r.addr(), Compound: tag == logShapeLiqCompound}
 		ev.DebtRepaid = types.Amount(r.uvarint())
 		ev.CollateralOut = types.Amount(r.uvarint())
-		return ev.Log()
+		lg, r.topics, r.data = ev.AppendLog(r.topics, r.data)
 	case logShapeFlashLoan:
 		ev := events.FlashLoan{Protocol: r.addr(), Initiator: r.addr(), Token: r.addr()}
 		ev.Amount = types.Amount(r.uvarint())
 		ev.Fee = types.Amount(r.uvarint())
-		return ev.Log()
+		lg, r.topics, r.data = ev.AppendLog(r.topics, r.data)
 	case logShapeOracle:
 		ev := events.OracleUpdate{Oracle: r.addr(), Token: r.addr()}
 		ev.Price = types.Amount(r.uvarint())
-		return ev.Log()
+		lg, r.topics, r.data = ev.AppendLog(r.topics, r.data)
 	case logShapeRaw:
-		var lg types.Log
 		lg.Address = r.addr()
 		nt := r.uvarint()
 		if nt > uint64(len(r.body)) {
@@ -488,20 +489,73 @@ func (r *colReader) readLog() types.Log {
 			return types.Log{}
 		}
 		if nt > 0 {
-			lg.Topics = make([]types.Hash, nt)
-			for k := range lg.Topics {
-				lg.Topics[k] = r.hash()
+			lo := len(r.topics)
+			for k := uint64(0); k < nt; k++ {
+				r.topics = append(r.topics, r.hash())
 			}
+			lg.Topics = r.topics[lo:len(r.topics):len(r.topics)]
 		}
 		nd := r.uvarint()
 		if raw := r.raw(int(nd)); len(raw) > 0 {
-			lg.Data = append([]byte(nil), raw...)
+			// Copied, never aliased: the decompressed body is recycled
+			// once the chunk decode returns.
+			lo := len(r.data)
+			r.data = append(r.data, raw...)
+			lg.Data = r.data[lo:len(r.data):len(r.data)]
 		}
-		return lg
 	default:
 		r.fail("unknown log shape tag %d (corrupt)", tag)
 		return types.Log{}
 	}
+	return lg
+}
+
+// logShapeSizes gives, per structured shape tag, how many varint fields
+// writeLog emits after the tag and the topic count and data length of
+// the log readLog rebuilds from them.
+var logShapeSizes = func() (t [logShapeOracle + 1]struct{ fields, topics, data int }) {
+	set := func(tag, fields int, lg types.Log) {
+		t[tag].fields, t[tag].topics, t[tag].data = fields, len(lg.Topics), len(lg.Data)
+	}
+	set(logShapeTransfer, 4, events.Transfer{}.Log())
+	set(logShapeSwap, 7, events.Swap{}.Log())
+	set(logShapeSync, 3, events.Sync{}.Log())
+	set(logShapeLiqAave, 7, events.Liquidation{}.Log())
+	set(logShapeLiqCompound, 7, events.Liquidation{Compound: true}.Log())
+	set(logShapeFlashLoan, 5, events.FlashLoan{}.Log())
+	set(logShapeOracle, 3, events.OracleUpdate{}.Log())
+	return t
+}()
+
+// skipLog steps over one log row without building it and returns the
+// topic count and data length readLog would give it: the sizing pass
+// that lets decodeLogsCol lay every log's topics and data into two
+// exact-size slabs.
+func (r *colReader) skipLog() (topics, data int) {
+	tag := r.byte1()
+	if tag == logShapeRaw {
+		r.uvarint() // address
+		nt := r.uvarint()
+		if nt > uint64(len(r.body)) {
+			r.fail("topic count %d exceeds chunk body (corrupt)", nt)
+			return 0, 0
+		}
+		for k := uint64(0); k < nt; k++ {
+			r.uvarint()
+		}
+		nd := r.uvarint()
+		r.raw(int(nd))
+		return int(nt), int(nd)
+	}
+	if int(tag) >= len(logShapeSizes) || logShapeSizes[tag].fields == 0 {
+		r.fail("unknown log shape tag %d (corrupt)", tag)
+		return 0, 0
+	}
+	sz := logShapeSizes[tag]
+	for k := 0; k < sz.fields; k++ {
+		r.uvarint()
+	}
+	return sz.topics, sz.data
 }
 
 func encodeLogsCol(root, segDir string, month types.Month, blocks []*types.Block) (ColumnInfo, error) {
@@ -649,6 +703,38 @@ type colReceiptsData struct{ rcpts []types.Receipt }
 
 type colLogsData struct{ logs [][]types.Log }
 
+// header rebuilds block i's header.
+func (d *colHeadersData) header(i int) types.Header {
+	return types.Header{
+		Number:     d.numbers[i],
+		ParentHash: d.parents[i],
+		Time:       time.Unix(0, d.times[i]).UTC(),
+		Miner:      d.miners[i],
+		BaseFee:    d.baseFees[i],
+		GasLimit:   d.gasLimits[i],
+		GasUsed:    d.gasUseds[i],
+	}
+}
+
+// newReceipts copies receipt rows into one fresh slab, deriving each
+// TxHash from the matching transaction and attaching the matching log
+// row (logs may be nil: a projection without the log column). rows, txs
+// and logs run in parallel; the cached chunks are only read.
+func newReceipts(rows []types.Receipt, txs []*types.Transaction, logs [][]types.Log) []*types.Receipt {
+	slab := make([]types.Receipt, len(rows))
+	out := make([]*types.Receipt, len(rows))
+	for k := range slab {
+		r := &slab[k]
+		*r = rows[k]
+		r.TxHash = txs[k].Hash()
+		if logs != nil {
+			r.Logs = logs[k]
+		}
+		out[k] = r
+	}
+	return out
+}
+
 type colFBData struct{ recs []flashbots.BlockRecord }
 
 type colObsData struct{ recs []p2p.ObservedTx }
@@ -689,6 +775,7 @@ func decodeHeadersCol(dir string, ci ColumnInfo) (*colHeadersData, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer r.release()
 	n := r.rows
 	d := &colHeadersData{
 		numbers:   make([]uint64, n),
@@ -774,10 +861,12 @@ func decodeTxsCol(dir string, ci ColumnInfo) (*colTxsData, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer r.release()
 	n := r.rows
+	slab := make([]types.Transaction, n)
 	txs := make([]*types.Transaction, n)
 	for i := range txs {
-		txs[i] = &types.Transaction{}
+		txs[i] = &slab[i]
 	}
 	for _, tx := range txs {
 		tx.Nonce = r.uvarint()
@@ -809,6 +898,7 @@ func decodeTxsCol(dir string, ci ColumnInfo) (*colTxsData, error) {
 	for _, tx := range txs {
 		tx.Payload = r.payload(0)
 	}
+	r.moveHops(slab)
 	if err := r.done(); err != nil {
 		return nil, fmt.Errorf("archive: %s: %w", ci.File.Name, err)
 	}
@@ -835,6 +925,7 @@ func decodeReceiptsCol(dir string, ci ColumnInfo) (*colReceiptsData, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer r.release()
 	n := r.rows
 	rcpts := make([]types.Receipt, n)
 	for i := range rcpts {
@@ -876,8 +967,10 @@ func decodeLogsCol(dir string, ci ColumnInfo) (*colLogsData, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer r.release()
 	n := r.rows
 	counts := make([]int, n)
+	total := 0
 	for i := range counts {
 		c := r.uvarint()
 		if c > uint64(len(r.body)) {
@@ -885,20 +978,30 @@ func decodeLogsCol(dir string, ci ColumnInfo) (*colLogsData, error) {
 			break
 		}
 		counts[i] = int(c)
+		total += int(c)
+	}
+	// Every log row takes at least its shape byte.
+	if r.err == nil && total > len(r.body)-r.off {
+		r.fail("log counts claim %d rows, more than the %d bytes left (corrupt)", total, len(r.body)-r.off)
 	}
 	logs := make([][]types.Log, n)
-	for i, c := range counts {
-		if r.err != nil {
-			break
+	start, topics, data := r.off, 0, 0
+	for i := 0; i < total && r.err == nil; i++ {
+		t, d := r.skipLog()
+		topics, data = topics+t, data+d
+	}
+	if r.err == nil {
+		r.off = start
+		r.topics, r.data = make([]types.Hash, 0, topics), make([]byte, 0, data)
+		all := make([]types.Log, total)
+		for i := range all {
+			all[i] = r.readLog()
 		}
-		if c == 0 {
-			continue
+		for i, c := range counts {
+			if c > 0 {
+				logs[i], all = all[:c:c], all[c:]
+			}
 		}
-		ls := make([]types.Log, c)
-		for j := range ls {
-			ls[j] = r.readLog()
-		}
-		logs[i] = ls
 	}
 	if err := r.done(); err != nil {
 		return nil, fmt.Errorf("archive: %s: %w", ci.File.Name, err)
@@ -911,6 +1014,7 @@ func decodeFlashbotsCol(dir string, ci ColumnInfo) (*colFBData, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer r.release()
 	n := r.rows
 	recs := make([]flashbots.BlockRecord, n)
 	var prevNum uint64
@@ -930,6 +1034,7 @@ func decodeFlashbotsCol(dir string, ci ColumnInfo) (*colFBData, error) {
 		recs[i].MinerReward = types.Amount(r.svarint())
 	}
 	counts := make([]int, n)
+	total := 0
 	for i := range counts {
 		c := r.uvarint()
 		if c > uint64(len(r.body)) {
@@ -937,6 +1042,15 @@ func decodeFlashbotsCol(dir string, ci ColumnInfo) (*colFBData, error) {
 			break
 		}
 		counts[i] = int(c)
+		total += int(c)
+	}
+	// Every bundle tx row takes at least its 32-byte hash.
+	if r.err == nil && total > (len(r.body)-r.off)/32 {
+		r.fail("bundle tx counts claim %d rows, more than the %d bytes left hold (corrupt)", total, len(r.body)-r.off)
+	}
+	var slab []flashbots.TxRecord
+	if r.err == nil {
+		slab = make([]flashbots.TxRecord, total)
 	}
 	for i := range recs {
 		if r.err != nil {
@@ -945,7 +1059,8 @@ func decodeFlashbotsCol(dir string, ci ColumnInfo) (*colFBData, error) {
 		if counts[i] == 0 {
 			continue
 		}
-		txs := make([]flashbots.TxRecord, counts[i])
+		var txs []flashbots.TxRecord
+		txs, slab = slab[:counts[i]:counts[i]], slab[counts[i]:]
 		for j := range txs {
 			txs[j].Hash = r.rawHash()
 			txs[j].EOA = r.addr()
@@ -983,6 +1098,7 @@ func decodeObservedCol(dir string, ci ColumnInfo, name string) (*colObsData, err
 	if err != nil {
 		return nil, err
 	}
+	defer r.release()
 	n := r.rows
 	recs := make([]p2p.ObservedTx, n)
 	for i := range recs {
@@ -1149,34 +1265,30 @@ func readSegmentV3(dir string, si SegmentInfo, cols columnSet, opt ReadOptions, 
 		}
 	}
 
+	// Blocks and receipts are built per read in one slab each; receipts
+	// are copies, so the cached receipt chunk stays pristine.
 	seg := &dataset.Segment{Month: si.Month}
-	seg.Blocks = make([]*types.Block, len(hd.numbers))
+	blocks := make([]types.Block, len(hd.numbers))
+	seg.Blocks = make([]*types.Block, len(blocks))
+	var receipts []*types.Receipt
+	if txs != nil {
+		var logRows [][]types.Log
+		if logs != nil {
+			logRows = logs.logs
+		}
+		receipts = newReceipts(rcpts.rcpts, txs.txs, logRows)
+	}
 	base := 0
-	for i := range seg.Blocks {
-		b := &types.Block{Header: types.Header{
-			Number:     hd.numbers[i],
-			ParentHash: hd.parents[i],
-			Time:       time.Unix(0, hd.times[i]).UTC(),
-			Miner:      hd.miners[i],
-			BaseFee:    hd.baseFees[i],
-			GasLimit:   hd.gasLimits[i],
-			GasUsed:    hd.gasUseds[i],
-		}}
+	for i := range blocks {
+		b := &blocks[i]
+		b.Header = hd.header(i)
 		cnt := hd.txCounts[i]
 		if txs != nil {
 			if base+cnt > len(txs.txs) {
 				return nil, fmt.Errorf("archive: segment %s tx counts overrun the tx column", si.Label)
 			}
 			b.Txs = txs.txs[base : base+cnt : base+cnt]
-			b.Receipts = make([]*types.Receipt, cnt)
-			for j := 0; j < cnt; j++ {
-				r := rcpts.rcpts[base+j] // copy; the cached chunk stays pristine
-				r.TxHash = b.Txs[j].Hash()
-				if logs != nil {
-					r.Logs = logs.logs[base+j]
-				}
-				b.Receipts[j] = &r
-			}
+			b.Receipts = receipts[base : base+cnt : base+cnt]
 		}
 		base += cnt
 		b.Seal()
@@ -1266,15 +1378,7 @@ func readBlockV3(dir string, si SegmentInfo, number uint64) (*types.Block, error
 	if idx < 0 {
 		return nil, fmt.Errorf("archive: block %d missing from segment %s", number, si.Label)
 	}
-	b := &types.Block{Header: types.Header{
-		Number:     hd.numbers[idx],
-		ParentHash: hd.parents[idx],
-		Time:       time.Unix(0, hd.times[idx]).UTC(),
-		Miner:      hd.miners[idx],
-		BaseFee:    hd.baseFees[idx],
-		GasLimit:   hd.gasLimits[idx],
-		GasUsed:    hd.gasUseds[idx],
-	}}
+	b := &types.Block{Header: hd.header(idx)}
 	cnt := hd.txCounts[idx]
 	if cnt > 0 {
 		tci, ok, err := inZone(ColTxs)
@@ -1300,26 +1404,23 @@ func readBlockV3(dir string, si SegmentInfo, number uint64) (*types.Block, error
 			if err != nil {
 				return nil, err
 			}
-			var logs *colLogsData
-			if lci, lok, err := inZone(ColLogs); err != nil {
-				return nil, err
-			} else if lok {
-				if logs, err = decodeLogsCol(dir, lci); err != nil {
-					return nil, err
-				}
-			}
 			if base+cnt > len(rcpts.rcpts) {
 				return nil, fmt.Errorf("archive: segment %s receipt rows overrun the receipt column", si.Label)
 			}
-			b.Receipts = make([]*types.Receipt, cnt)
-			for j := 0; j < cnt; j++ {
-				r := rcpts.rcpts[base+j]
-				r.TxHash = b.Txs[j].Hash()
-				if logs != nil && base+j < len(logs.logs) {
-					r.Logs = logs.logs[base+j]
+			var logRows [][]types.Log
+			if lci, lok, err := inZone(ColLogs); err != nil {
+				return nil, err
+			} else if lok {
+				logs, err := decodeLogsCol(dir, lci)
+				if err != nil {
+					return nil, err
 				}
-				b.Receipts[j] = &r
+				if base+cnt > len(logs.logs) {
+					return nil, fmt.Errorf("archive: segment %s receipt rows overrun the log column", si.Label)
+				}
+				logRows = logs.logs[base : base+cnt]
 			}
+			b.Receipts = newReceipts(rcpts.rcpts[base:base+cnt], b.Txs, logRows)
 		}
 	}
 	b.Seal()

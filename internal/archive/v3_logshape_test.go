@@ -56,6 +56,22 @@ func TestLogShapeRoundTrip(t *testing.T) {
 	if r.off != len(r.body) {
 		t.Errorf("decoder consumed %d of %d body bytes", r.off, len(r.body))
 	}
+	// The size pass must agree with the decode on every row, or the
+	// logs column's slabs stop being exact.
+	sr := &colReader{addrs: w.addrList, hashes: w.hashList, body: w.body, rows: len(logs)}
+	for i, want := range logs {
+		topics, data := sr.skipLog()
+		if sr.err != nil {
+			t.Fatalf("log %d: size pass failed: %v", i, sr.err)
+		}
+		if topics != len(want.Topics) || data != len(want.Data) {
+			t.Errorf("log %d: size pass says %d topics and %d data bytes, decode gives %d and %d",
+				i, topics, data, len(want.Topics), len(want.Data))
+		}
+	}
+	if sr.off != r.off {
+		t.Errorf("size pass consumed %d body bytes, decode %d", sr.off, r.off)
+	}
 }
 
 // TestLogShapeUnknownTagRefused: a tag byte no shipped writer emits is

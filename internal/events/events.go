@@ -36,9 +36,26 @@ func amt(b []byte, off int) types.Amount {
 	return types.Amount(binary.BigEndian.Uint64(b[off : off+8]))
 }
 
-func putAmt(b []byte, off int, a types.Amount) {
-	binary.BigEndian.PutUint64(b[off:off+8], uint64(a))
+func appendAmt(b []byte, a types.Amount) []byte {
+	return binary.BigEndian.AppendUint64(b, uint64(a))
 }
+
+// carve returns the log whose topics and data are what was appended to
+// the buffers past t0 and d0, capacity-capped so that appending to one
+// log's slices can never overwrite a neighbour's in a shared buffer.
+func carve(addr types.Address, topics []types.Hash, t0 int, data []byte, d0 int) types.Log {
+	return types.Log{
+		Address: addr,
+		Topics:  topics[t0:len(topics):len(topics)],
+		Data:    data[d0:len(data):len(data)],
+	}
+}
+
+// Every event encodes through an AppendLog method: it appends the
+// event's topics and data to caller-owned buffers and returns the log
+// carved from them plus the grown buffers, so a decoder that rebuilds
+// many logs can lay them all out in shared slabs. Log is AppendLog into
+// buffers of exactly the event's size.
 
 // Transfer is an ERC-20 transfer event emitted by the token contract.
 type Transfer struct {
@@ -49,13 +66,16 @@ type Transfer struct {
 
 // Log encodes the event.
 func (e Transfer) Log() types.Log {
-	data := make([]byte, 8)
-	putAmt(data, 0, e.Amount)
-	return types.Log{
-		Address: e.Token,
-		Topics:  []types.Hash{SigTransfer, e.From.Hash(), e.To.Hash()},
-		Data:    data,
-	}
+	lg, _, _ := e.AppendLog(make([]types.Hash, 0, 3), make([]byte, 0, 8))
+	return lg
+}
+
+// AppendLog encodes the event into the given buffers.
+func (e Transfer) AppendLog(topics []types.Hash, data []byte) (types.Log, []types.Hash, []byte) {
+	t0, d0 := len(topics), len(data)
+	topics = append(topics, SigTransfer, e.From.Hash(), e.To.Hash())
+	data = appendAmt(data, e.Amount)
+	return carve(e.Token, topics, t0, data, d0), topics, data
 }
 
 // DecodeTransfer parses a Transfer event; ok is false for other logs.
@@ -84,16 +104,19 @@ type Swap struct {
 
 // Log encodes the event.
 func (e Swap) Log() types.Log {
-	data := make([]byte, 20+20+8+8)
-	copy(data[0:], e.TokenIn[:])
-	copy(data[20:], e.TokenOut[:])
-	putAmt(data, 40, e.AmountIn)
-	putAmt(data, 48, e.AmountOut)
-	return types.Log{
-		Address: e.Pool,
-		Topics:  []types.Hash{SigSwap, e.Sender.Hash(), e.Recipient.Hash()},
-		Data:    data,
-	}
+	lg, _, _ := e.AppendLog(make([]types.Hash, 0, 3), make([]byte, 0, 20+20+8+8))
+	return lg
+}
+
+// AppendLog encodes the event into the given buffers.
+func (e Swap) AppendLog(topics []types.Hash, data []byte) (types.Log, []types.Hash, []byte) {
+	t0, d0 := len(topics), len(data)
+	topics = append(topics, SigSwap, e.Sender.Hash(), e.Recipient.Hash())
+	data = append(data, e.TokenIn[:]...)
+	data = append(data, e.TokenOut[:]...)
+	data = appendAmt(data, e.AmountIn)
+	data = appendAmt(data, e.AmountOut)
+	return carve(e.Pool, topics, t0, data, d0), topics, data
 }
 
 // DecodeSwap parses a Swap event; ok is false for other logs.
@@ -120,10 +143,17 @@ type Sync struct {
 
 // Log encodes the event.
 func (e Sync) Log() types.Log {
-	data := make([]byte, 16)
-	putAmt(data, 0, e.ReserveA)
-	putAmt(data, 8, e.ReserveB)
-	return types.Log{Address: e.Pool, Topics: []types.Hash{SigSync}, Data: data}
+	lg, _, _ := e.AppendLog(make([]types.Hash, 0, 1), make([]byte, 0, 16))
+	return lg
+}
+
+// AppendLog encodes the event into the given buffers.
+func (e Sync) AppendLog(topics []types.Hash, data []byte) (types.Log, []types.Hash, []byte) {
+	t0, d0 := len(topics), len(data)
+	topics = append(topics, SigSync)
+	data = appendAmt(data, e.ReserveA)
+	data = appendAmt(data, e.ReserveB)
+	return carve(e.Pool, topics, t0, data, d0), topics, data
 }
 
 // DecodeSync parses a Sync event; ok is false for other logs.
@@ -150,20 +180,23 @@ type Liquidation struct {
 
 // Log encodes the event with the protocol-appropriate signature.
 func (e Liquidation) Log() types.Log {
+	lg, _, _ := e.AppendLog(make([]types.Hash, 0, 3), make([]byte, 0, 20+20+8+8))
+	return lg
+}
+
+// AppendLog encodes the event into the given buffers.
+func (e Liquidation) AppendLog(topics []types.Hash, data []byte) (types.Log, []types.Hash, []byte) {
 	sig := SigLiquidationCall
 	if e.Compound {
 		sig = SigLiquidateBorrow
 	}
-	data := make([]byte, 20+20+8+8)
-	copy(data[0:], e.DebtToken[:])
-	copy(data[20:], e.CollateralToken[:])
-	putAmt(data, 40, e.DebtRepaid)
-	putAmt(data, 48, e.CollateralOut)
-	return types.Log{
-		Address: e.Protocol,
-		Topics:  []types.Hash{sig, e.Liquidator.Hash(), e.Borrower.Hash()},
-		Data:    data,
-	}
+	t0, d0 := len(topics), len(data)
+	topics = append(topics, sig, e.Liquidator.Hash(), e.Borrower.Hash())
+	data = append(data, e.DebtToken[:]...)
+	data = append(data, e.CollateralToken[:]...)
+	data = appendAmt(data, e.DebtRepaid)
+	data = appendAmt(data, e.CollateralOut)
+	return carve(e.Protocol, topics, t0, data, d0), topics, data
 }
 
 // DecodeLiquidation parses either liquidation event; ok is false otherwise.
@@ -203,15 +236,18 @@ type FlashLoan struct {
 
 // Log encodes the event.
 func (e FlashLoan) Log() types.Log {
-	data := make([]byte, 20+8+8)
-	copy(data[0:], e.Token[:])
-	putAmt(data, 20, e.Amount)
-	putAmt(data, 28, e.Fee)
-	return types.Log{
-		Address: e.Protocol,
-		Topics:  []types.Hash{SigFlashLoan, e.Initiator.Hash()},
-		Data:    data,
-	}
+	lg, _, _ := e.AppendLog(make([]types.Hash, 0, 2), make([]byte, 0, 20+8+8))
+	return lg
+}
+
+// AppendLog encodes the event into the given buffers.
+func (e FlashLoan) AppendLog(topics []types.Hash, data []byte) (types.Log, []types.Hash, []byte) {
+	t0, d0 := len(topics), len(data)
+	topics = append(topics, SigFlashLoan, e.Initiator.Hash())
+	data = append(data, e.Token[:]...)
+	data = appendAmt(data, e.Amount)
+	data = appendAmt(data, e.Fee)
+	return carve(e.Protocol, topics, t0, data, d0), topics, data
 }
 
 // DecodeFlashLoan parses a FlashLoan event; ok is false for other logs.
@@ -238,10 +274,17 @@ type OracleUpdate struct {
 
 // Log encodes the event.
 func (e OracleUpdate) Log() types.Log {
-	data := make([]byte, 20+8)
-	copy(data[0:], e.Token[:])
-	putAmt(data, 20, e.Price)
-	return types.Log{Address: e.Oracle, Topics: []types.Hash{SigOracleUpdate}, Data: data}
+	lg, _, _ := e.AppendLog(make([]types.Hash, 0, 1), make([]byte, 0, 20+8))
+	return lg
+}
+
+// AppendLog encodes the event into the given buffers.
+func (e OracleUpdate) AppendLog(topics []types.Hash, data []byte) (types.Log, []types.Hash, []byte) {
+	t0, d0 := len(topics), len(data)
+	topics = append(topics, SigOracleUpdate)
+	data = append(data, e.Token[:]...)
+	data = appendAmt(data, e.Price)
+	return carve(e.Oracle, topics, t0, data, d0), topics, data
 }
 
 // DecodeOracleUpdate parses an oracle update; ok is false for other logs.

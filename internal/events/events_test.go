@@ -126,3 +126,52 @@ func TestSwapRoundtripProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestAppendLogCarvesSharedBuffers: AppendLog into buffers shared with
+// other logs yields exactly Log's log, each log's slices capped at their
+// own length so an append through one cannot overwrite the next, and
+// Log itself still costs one topics and one data allocation.
+func TestAppendLogCarvesSharedBuffers(t *testing.T) {
+	type appender interface {
+		Log() types.Log
+		AppendLog([]types.Hash, []byte) (types.Log, []types.Hash, []byte)
+	}
+	evs := []appender{
+		Transfer{Token: a(1), From: a(2), To: a(3), Amount: 12345},
+		Swap{Pool: a(1), Sender: a(2), Recipient: a(3), TokenIn: a(4), TokenOut: a(5), AmountIn: 100, AmountOut: 97},
+		Sync{Pool: a(1), ReserveA: 11, ReserveB: 22},
+		Liquidation{Protocol: a(1), Liquidator: a(2), Borrower: a(3), DebtToken: a(4), CollateralToken: a(5),
+			DebtRepaid: 7, CollateralOut: 8, Compound: true},
+		FlashLoan{Protocol: a(1), Initiator: a(2), Token: a(3), Amount: 1 << 40, Fee: 9},
+		OracleUpdate{Oracle: a(1), Token: a(2), Price: 314159},
+	}
+	topics := []types.Hash{{0xAA}}
+	data := []byte{0xBB}
+	var carved []types.Log
+	for _, e := range evs {
+		var lg types.Log
+		lg, topics, data = e.AppendLog(topics, data)
+		carved = append(carved, lg)
+	}
+	for i, e := range evs {
+		want, got := e.Log(), carved[i]
+		if got.Address != want.Address || len(got.Topics) != len(want.Topics) || string(got.Data) != string(want.Data) {
+			t.Fatalf("event %d: appended %+v, Log %+v", i, got, want)
+		}
+		for k := range want.Topics {
+			if got.Topics[k] != want.Topics[k] {
+				t.Fatalf("event %d topic %d differs", i, k)
+			}
+		}
+		if cap(got.Topics) != len(got.Topics) || cap(got.Data) != len(got.Data) {
+			t.Errorf("event %d: carved slices not capacity-capped (topics %d/%d, data %d/%d)",
+				i, len(got.Topics), cap(got.Topics), len(got.Data), cap(got.Data))
+		}
+		if n := testing.AllocsPerRun(50, func() { e.Log() }); n != 2 {
+			t.Errorf("event %d: Log costs %.1f allocs, want 2", i, n)
+		}
+	}
+	if topics[0] != (types.Hash{0xAA}) || data[0] != 0xBB {
+		t.Error("AppendLog overwrote what the buffers held before it")
+	}
+}

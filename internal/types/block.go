@@ -1,6 +1,7 @@
 package types
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"time"
 )
@@ -30,22 +31,31 @@ type Block struct {
 }
 
 // Seal computes and caches the block hash. Call after the block contents
-// are final.
+// are final. The header fields and every transaction hash are laid out
+// in a stack buffer (a heap one only for blocks of more than
+// sealStackTxs transactions) and hashed in one call.
 func (b *Block) Seal() {
-	var buf [8 + 32 + 8 + 20 + 8]byte
+	const head = 8 + 32 + 8 + 20 + 8
+	var stack [head + 32*sealStackTxs]byte
+	buf := stack[:head]
+	if need := head + 32*len(b.Txs); need > len(stack) {
+		buf = make([]byte, head, need)
+	}
 	binary.BigEndian.PutUint64(buf[0:], b.Header.Number)
 	copy(buf[8:], b.Header.ParentHash[:])
 	binary.BigEndian.PutUint64(buf[40:], uint64(b.Header.Time.Unix()))
 	copy(buf[48:], b.Header.Miner[:])
 	binary.BigEndian.PutUint64(buf[68:], uint64(b.Header.BaseFee))
-	chunks := make([][]byte, 0, 1+len(b.Txs))
-	chunks = append(chunks, buf[:])
 	for _, tx := range b.Txs {
 		h := tx.Hash()
-		chunks = append(chunks, h[:])
+		buf = append(buf, h[:]...)
 	}
-	b.hash = HashData(chunks...)
+	b.hash = sha256.Sum256(buf)
 }
+
+// sealStackTxs is how many transaction hashes Seal lays out on the
+// stack before it falls back to one heap buffer.
+const sealStackTxs = 128
 
 // Hash returns the sealed block hash; zero until Seal is called.
 func (b *Block) Hash() Hash { return b.hash }

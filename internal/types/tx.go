@@ -1,6 +1,9 @@
 package types
 
-import "encoding/binary"
+import (
+	"crypto/sha256"
+	"encoding/binary"
+)
 
 // TxKind labels the high-level shape of a transaction's payload. It stands
 // in for contract call data: the executor dispatches on it, but detectors
@@ -137,67 +140,68 @@ type Transaction struct {
 }
 
 // Hash returns the transaction hash, computed on first call and cached.
+// The fields and the payload digest are laid out in a stack buffer and
+// hashed in one call, so hashing an ordinary transaction allocates
+// nothing.
 func (tx *Transaction) Hash() Hash {
 	if !tx.hash.IsZero() {
 		return tx.hash
 	}
-	var buf [8 + 20 + 20 + 8 + 8 + 8 + 8 + 8 + 8 + 1]byte
-	binary.BigEndian.PutUint64(buf[0:], tx.Nonce)
-	copy(buf[8:], tx.From[:])
-	copy(buf[28:], tx.To[:])
-	binary.BigEndian.PutUint64(buf[48:], uint64(tx.Value))
-	binary.BigEndian.PutUint64(buf[56:], tx.GasLimit)
-	binary.BigEndian.PutUint64(buf[64:], uint64(tx.GasPrice))
-	binary.BigEndian.PutUint64(buf[72:], uint64(tx.FeeCap))
-	binary.BigEndian.PutUint64(buf[80:], uint64(tx.TipCap))
-	binary.BigEndian.PutUint64(buf[88:], uint64(tx.CoinbaseTip))
-	buf[96] = byte(tx.Payload.Kind)
-	tx.hash = HashData(buf[:], payloadDigest(&tx.Payload))
+	var stack [512]byte
+	b := stack[:txHashFixed]
+	binary.BigEndian.PutUint64(b[0:], tx.Nonce)
+	copy(b[8:], tx.From[:])
+	copy(b[28:], tx.To[:])
+	binary.BigEndian.PutUint64(b[48:], uint64(tx.Value))
+	binary.BigEndian.PutUint64(b[56:], tx.GasLimit)
+	binary.BigEndian.PutUint64(b[64:], uint64(tx.GasPrice))
+	binary.BigEndian.PutUint64(b[72:], uint64(tx.FeeCap))
+	binary.BigEndian.PutUint64(b[80:], uint64(tx.TipCap))
+	binary.BigEndian.PutUint64(b[88:], uint64(tx.CoinbaseTip))
+	b[96] = byte(tx.Payload.Kind)
+	b = appendPayloadDigest(b, &tx.Payload)
+	tx.hash = sha256.Sum256(b)
 	return tx.hash
 }
 
-func payloadDigest(p *Payload) []byte {
-	if p == nil {
-		return nil
-	}
-	b := make([]byte, 0, 128)
+// txHashFixed is the size of the fixed-width fields Hash lays out ahead
+// of the payload digest.
+const txHashFixed = 8 + 20 + 20 + 8 + 8 + 8 + 8 + 8 + 8 + 1
+
+// appendPayloadDigest appends the bytes of p that the transaction hash
+// covers, recursing through Inner.
+func appendPayloadDigest(b []byte, p *Payload) []byte {
 	b = append(b, byte(p.Kind))
 	b = append(b, p.Token[:]...)
 	b = append(b, p.Recipient[:]...)
-	b = appendU64(b, uint64(p.Amount))
-	b = appendU64(b, uint64(p.AmountIn))
-	b = appendU64(b, uint64(p.MinOut))
+	b = binary.BigEndian.AppendUint64(b, uint64(p.Amount))
+	b = binary.BigEndian.AppendUint64(b, uint64(p.AmountIn))
+	b = binary.BigEndian.AppendUint64(b, uint64(p.MinOut))
 	for _, h := range p.Hops {
 		b = append(b, h.Venue[:4]...)
 		b = append(b, h.TokenIn[:4]...)
 		b = append(b, h.TokenOut[:4]...)
 	}
 	b = append(b, p.Protocol[:4]...)
-	b = appendU64(b, p.LoanID)
-	b = appendU64(b, uint64(p.Repay))
+	b = binary.BigEndian.AppendUint64(b, p.LoanID)
+	b = binary.BigEndian.AppendUint64(b, uint64(p.Repay))
 	b = append(b, p.FlashToken[:4]...)
-	b = appendU64(b, uint64(p.FlashAmount))
+	b = binary.BigEndian.AppendUint64(b, uint64(p.FlashAmount))
 	b = append(b, p.OracleToken[:4]...)
-	b = appendU64(b, uint64(p.OraclePrice))
+	b = binary.BigEndian.AppendUint64(b, uint64(p.OraclePrice))
 	for _, e := range p.Payouts {
 		b = append(b, e.To[:4]...)
-		b = appendU64(b, uint64(e.Amount))
+		b = binary.BigEndian.AppendUint64(b, uint64(e.Amount))
 	}
 	b = append(b, p.Venue[:4]...)
 	b = append(b, p.TokenA[:4]...)
 	b = append(b, p.TokenB[:4]...)
-	b = appendU64(b, uint64(p.AmountA))
-	b = appendU64(b, uint64(p.AmountB))
+	b = binary.BigEndian.AppendUint64(b, uint64(p.AmountA))
+	b = binary.BigEndian.AppendUint64(b, uint64(p.AmountB))
 	if p.Inner != nil {
-		b = append(b, payloadDigest(p.Inner)...)
+		b = appendPayloadDigest(b, p.Inner)
 	}
 	return b
-}
-
-func appendU64(b []byte, v uint64) []byte {
-	var t [8]byte
-	binary.BigEndian.PutUint64(t[:], v)
-	return append(b, t[:]...)
 }
 
 // ResetHash clears the cached hash after a field mutation (e.g. a gas

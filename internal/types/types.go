@@ -85,14 +85,17 @@ func (h Hash) IsZero() bool { return h == ZeroHash }
 
 // HashData digests arbitrary byte chunks into a Hash. It stands in for
 // Keccak-256; collision behaviour is irrelevant to the measurements.
+//
+// The chunks are concatenated into a stack buffer and digested in one
+// sha256.Sum256 call, so short inputs allocate nothing; the digest equals
+// streaming the chunks through one hasher.
 func HashData(chunks ...[]byte) Hash {
-	d := sha256.New()
+	var stack [256]byte
+	buf := stack[:0]
 	for _, c := range chunks {
-		d.Write(c)
+		buf = append(buf, c...)
 	}
-	var h Hash
-	d.Sum(h[:0])
-	return h
+	return sha256.Sum256(buf)
 }
 
 // DeriveAddress deterministically derives an address from a namespace and
