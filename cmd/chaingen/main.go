@@ -20,16 +20,18 @@
 package main
 
 import (
+	"bufio"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"time"
 
 	"mevscope"
 	"mevscope/internal/p2p"
-	"mevscope/internal/store"
 	"mevscope/internal/types"
 )
 
@@ -134,11 +136,24 @@ func main() {
 		os.Exit(1)
 	}
 
-	mev := store.NewCollection[mevDoc]("mev")
-	mev.AddIndex("month", func(d mevDoc) string { return d.Month })
-	mev.AddIndex("kind", func(d mevDoc) string { return d.Kind })
+	n, err := saveStudy(o.out, study)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "chaingen:", err)
+		os.Exit(1)
+	}
+	fmt.Fprintf(os.Stderr, "chaingen: wrote %d MEV records, %d pending observations, %d Flashbots blocks to %s/ in %v\n",
+		n.mev, n.pending, n.fbBlocks, o.out, time.Since(t0).Round(time.Millisecond))
+}
+
+// saved counts the documents saveStudy wrote per collection.
+type saved struct{ mev, pending, fbBlocks int }
+
+// saveStudy writes the study's three collections into dir as
+// mev.jsonl, pending_transactions.jsonl and flashbots_blocks.jsonl.
+func saveStudy(dir string, study *mevscope.Study) (saved, error) {
+	mev := make([]mevDoc, 0, len(study.Profits))
 	for _, r := range study.Profits {
-		mev.Insert(mevDoc{
+		mev = append(mev, mevDoc{
 			Kind:         r.Kind.String(),
 			Block:        r.Block,
 			Month:        r.Month.String(),
@@ -150,20 +165,18 @@ func main() {
 			ViaFlashLoan: r.ViaFlashLoan,
 		})
 	}
-
-	pending := store.NewCollection[pendingDoc]("pending_transactions")
+	var pending []pendingDoc
 	for vi, v := range study.Sim.Net.Vantages() {
 		for _, rec := range v.Records() {
-			pending.Insert(pendingDoc{
+			pending = append(pending, pendingDoc{
 				Hash: rec.Hash.String(), FirstSeenBlock: rec.FirstSeenBlock, Hops: rec.Hops,
 				Vantage: vi, Node: v.Node(),
 			})
 		}
 	}
-
-	fbBlocks := store.NewCollection[fbBlockDoc]("flashbots_blocks")
+	var fbBlocks []fbBlockDoc
 	for _, rec := range study.Sim.Relay.Blocks() {
-		fbBlocks.Insert(fbBlockDoc{
+		fbBlocks = append(fbBlocks, fbBlockDoc{
 			BlockNumber: rec.BlockNumber,
 			Miner:       rec.Miner.String(),
 			RewardETH:   types.Amount(rec.MinerReward).Ether(),
@@ -171,21 +184,44 @@ func main() {
 			Txs:         len(rec.Txs),
 		})
 	}
-
-	saves := []struct {
-		name string
-		save func(string) error
-	}{
-		{"mev", mev.SaveFile},
-		{"pending_transactions", pending.SaveFile},
-		{"flashbots_blocks", fbBlocks.SaveFile},
+	if err := saveJSONL(dir, "mev", mev); err != nil {
+		return saved{}, err
 	}
-	for _, s := range saves {
-		if err := s.save(o.out); err != nil {
-			fmt.Fprintf(os.Stderr, "chaingen: save %s: %v\n", s.name, err)
-			os.Exit(1)
+	if err := saveJSONL(dir, "pending_transactions", pending); err != nil {
+		return saved{}, err
+	}
+	if err := saveJSONL(dir, "flashbots_blocks", fbBlocks); err != nil {
+		return saved{}, err
+	}
+	return saved{len(mev), len(pending), len(fbBlocks)}, nil
+}
+
+// saveJSONL writes docs to dir/<name>.jsonl, one JSON document per
+// line, and returns the first encode, flush or close error.
+func saveJSONL[T any](dir, name string, docs []T) (err error) {
+	defer func() {
+		if err != nil {
+			err = fmt.Errorf("save %s: %w", name, err)
+		}
+	}()
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	f, err := os.Create(filepath.Join(dir, name+".jsonl"))
+	if err != nil {
+		return err
+	}
+	bw := bufio.NewWriter(f)
+	enc := json.NewEncoder(bw)
+	for _, d := range docs {
+		if err := enc.Encode(d); err != nil {
+			_ = f.Close() // the encode error wins; the file is junk either way
+			return err
 		}
 	}
-	fmt.Fprintf(os.Stderr, "chaingen: wrote %d MEV records, %d pending observations, %d Flashbots blocks to %s/ in %v\n",
-		mev.Count(), pending.Count(), fbBlocks.Count(), o.out, time.Since(t0).Round(time.Millisecond))
+	if err := bw.Flush(); err != nil {
+		_ = f.Close() // the flush error wins
+		return err
+	}
+	return f.Close()
 }

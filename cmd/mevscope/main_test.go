@@ -197,30 +197,6 @@ func TestResolveRange(t *testing.T) {
 	}
 }
 
-// TestParseFormatFlag: the archive subcommand's -format values come
-// from the archive package's format registry, so a new format shows up
-// in the flag (and its help text and error message) without CLI edits.
-func TestParseFormatFlag(t *testing.T) {
-	for spec, want := range map[string]archive.Format{
-		"v1": archive.FormatV1, "v2": archive.FormatV2, "v3": archive.FormatV3,
-	} {
-		got, err := archive.ParseFormat(spec)
-		if err != nil || got != want {
-			t.Errorf("ParseFormat(%q) = (%v, %v), want %v", spec, got, err, want)
-		}
-	}
-	for _, bad := range []string{"", "v4", "jsonl", "V2"} {
-		if _, err := archive.ParseFormat(bad); err == nil {
-			t.Errorf("ParseFormat(%q) accepted", bad)
-		}
-	}
-	for _, name := range archive.FormatNames() {
-		if !strings.Contains(archive.FormatHelp(), name) {
-			t.Errorf("FormatHelp() %q does not mention %q", archive.FormatHelp(), name)
-		}
-	}
-}
-
 // TestArchiveLive drives the `archive -live` path directly: a small
 // world streamed month by month must produce a complete, readable
 // archive with one segment per month.
@@ -234,7 +210,7 @@ func TestArchiveLive(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	man, err := archiveLive(s, dir, archive.FormatV2, map[string]string{"seed": "9"}, true)
+	man, err := archiveLive(s, dir, map[string]string{"seed": "9"}, true)
 	if err != nil {
 		t.Fatal(err)
 	}

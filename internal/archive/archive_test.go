@@ -2,8 +2,11 @@ package archive_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -73,6 +76,15 @@ func TestArchiveRoundTrip(t *testing.T) {
 	if restored.Observer.Count() != ds.Observer.Count() {
 		t.Errorf("restored observer has %d records, want %d", restored.Observer.Count(), ds.Observer.Count())
 	}
+	// The price history (the prices.col chunk) restores point for point.
+	if got, want := restored.Prices.Tokens(), ds.Prices.Tokens(); !reflect.DeepEqual(got, want) || len(want) == 0 {
+		t.Fatalf("restored price tokens %v, want %v", got, want)
+	}
+	for _, tok := range ds.Prices.Tokens() {
+		if got, want := restored.Prices.History(tok), ds.Prices.History(tok); !reflect.DeepEqual(got, want) {
+			t.Errorf("price history of %v: restored %d points, want %d (or values differ)", tok.Short(), len(got), len(want))
+		}
+	}
 
 	origStudy, err := mevscope.AnalyzeDataset(ds, 2)
 	if err != nil {
@@ -90,169 +102,114 @@ func TestArchiveRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFormatsProduceIdenticalReports is the format acceptance gate: one
-// world archived in every format must restore to reports byte-identical
-// to each other AND to the in-memory pipeline's — the encoding is an
-// implementation detail the measurement can never see. It also pins the
-// compression ladder: each format must be smaller on disk than its
-// predecessor.
-func TestFormatsProduceIdenticalReports(t *testing.T) {
-	s := world(t)
-	ds := dataset.FromSim(s)
-	memStudy, err := mevscope.AnalyzeDataset(ds, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mem bytes.Buffer
-	mevscope.WriteReportTo(&mem, memStudy.Report)
-
-	sizes := map[archive.Format]int64{}
-	for _, format := range []archive.Format{archive.FormatV1, archive.FormatV2, archive.FormatV3} {
-		dir := t.TempDir()
-		man, err := archive.WriteFormat(dir, ds, map[string]string{"seed": "17"}, format)
-		if err != nil {
-			t.Fatalf("%s: %v", format, err)
-		}
-		if man.Format() != format {
-			t.Fatalf("manifest format = %s, want %s", man.Format(), format)
-		}
-		sizes[format] = man.DataBytes()
-		for _, seg := range man.Segments {
-			if format == archive.FormatV2 && len(seg.Index) == 0 {
-				t.Errorf("%s: v2 segment %s has no block index", format, seg.Label)
-			}
-			if format == archive.FormatV3 && len(seg.Columns) == 0 {
-				t.Errorf("%s: v3 segment %s has no column chunks", format, seg.Label)
-			}
-		}
-		restored, _, err := archive.Read(dir)
-		if err != nil {
-			t.Fatalf("%s: %v", format, err)
-		}
-		st, err := mevscope.AnalyzeDataset(restored, 2)
-		if err != nil {
-			t.Fatalf("%s: %v", format, err)
-		}
-		var got bytes.Buffer
-		mevscope.WriteReportTo(&got, st.Report)
-		if !bytes.Equal(got.Bytes(), mem.Bytes()) {
-			t.Errorf("%s archive's report differs from the in-memory pipeline's", format)
-		}
-	}
-	if sizes[archive.FormatV2] >= sizes[archive.FormatV1] {
-		t.Errorf("v2 archive (%d bytes) is not smaller than v1 (%d bytes)",
-			sizes[archive.FormatV2], sizes[archive.FormatV1])
-	}
-	if sizes[archive.FormatV3] >= sizes[archive.FormatV2] {
-		t.Errorf("v3 archive (%d bytes) is not smaller than v2 (%d bytes)",
-			sizes[archive.FormatV3], sizes[archive.FormatV2])
-	}
-}
-
-// TestReadBlock: the random-access path (block index for v2, zone-map
-// chunk selection for v3) returns the same sealed block a full restore
-// does, for blocks on and off the sparse index points, in every format.
+// TestReadBlock: the random-access path (zone-map chunk selection)
+// returns the same sealed block a full restore does, for the first and
+// last blocks and blocks in between.
 func TestReadBlock(t *testing.T) {
-	s := world(t)
-	for _, format := range []archive.Format{archive.FormatV1, archive.FormatV2, archive.FormatV3} {
-		dir := t.TempDir()
-		if _, err := archive.WriteFormat(dir, dataset.FromSim(s), nil, format); err != nil {
-			t.Fatal(err)
-		}
-		head := s.Chain.Head().Header.Number
-		start := s.Chain.Timeline.StartBlock
-		for _, n := range []uint64{start, start + 1, start + 63, start + 64, (start + head) / 2, head} {
-			got, err := archive.ReadBlock(dir, n)
-			if err != nil {
-				t.Fatalf("%s: ReadBlock(%d): %v", format, n, err)
-			}
-			want, err := s.Chain.ByNumber(n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Hash() != want.Hash() {
-				t.Errorf("%s: ReadBlock(%d) hash differs from the chain's", format, n)
-			}
-		}
-		if _, err := archive.ReadBlock(dir, head+1); err == nil {
-			t.Errorf("%s: block beyond the archive served", format)
-		}
-		// The manifest-reusing variant resolves the same blocks.
-		man, err := archive.ReadManifest(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := archive.ReadBlockFrom(dir, man, start+1)
-		if err != nil || got.Header.Number != start+1 {
-			t.Errorf("%s: ReadBlockFrom(%d) = (%v, %v)", format, start+1, got, err)
-		}
-	}
-}
-
-// countingCache wraps the SegmentCache contract with call counters, so
-// the test can see which reads hit the disk.
-type countingCache struct {
-	mu   sync.Mutex
-	segs map[string]*dataset.Segment
-	hits int
-	adds int
-}
-
-func (c *countingCache) Get(dir string, m types.Month) (*dataset.Segment, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	seg, ok := c.segs[dir+m.Label()]
-	if ok {
-		c.hits++
-	}
-	return seg, ok
-}
-
-func (c *countingCache) Add(dir string, m types.Month, seg *dataset.Segment, bytes int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.segs == nil {
-		c.segs = map[string]*dataset.Segment{}
-	}
-	c.segs[dir+m.Label()] = seg
-	c.adds++
-}
-
-// TestReadRangeSharedSegments: two overlapping ranges through one cache
-// decode each shared month exactly once, and the cached assembly is
-// byte-identical to a cold one.
-func TestReadRangeSharedSegments(t *testing.T) {
 	s := world(t)
 	dir := t.TempDir()
 	if _, err := archive.Write(dir, dataset.FromSim(s), nil); err != nil {
 		t.Fatal(err)
 	}
+	head := s.Chain.Head().Header.Number
+	start := s.Chain.Timeline.StartBlock
+	for _, n := range []uint64{start, start + 1, start + 63, start + 64, (start + head) / 2, head} {
+		got, err := archive.ReadBlock(dir, n)
+		if err != nil {
+			t.Fatalf("ReadBlock(%d): %v", n, err)
+		}
+		want, err := s.Chain.ByNumber(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Hash() != want.Hash() {
+			t.Errorf("ReadBlock(%d) hash differs from the chain's", n)
+		}
+	}
+	if _, err := archive.ReadBlock(dir, head+1); err == nil {
+		t.Error("block beyond the archive served")
+	}
+	// The manifest-reusing variant resolves the same blocks.
+	man, err := archive.ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := archive.ReadBlockFrom(dir, man, start+1)
+	if err != nil || got.Header.Number != start+1 {
+		t.Errorf("ReadBlockFrom(%d) = (%v, %v)", start+1, got, err)
+	}
+}
+
+// countingCache wraps the ChunkCache contract with call counters, so
+// the test can see which reads hit the disk.
+type countingCache struct {
+	mu     sync.Mutex
+	chunks map[string]any
+	hits   int
+	adds   int
+}
+
+func (c *countingCache) GetChunk(dir string, m types.Month, col string) (any, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	v, ok := c.chunks[dir+m.Label()+col]
+	if ok {
+		c.hits++
+	}
+	return v, ok
+}
+
+func (c *countingCache) AddChunk(dir string, m types.Month, col string, v any, bytes int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.chunks == nil {
+		c.chunks = map[string]any{}
+	}
+	c.chunks[dir+m.Label()+col] = v
+	c.adds++
+}
+
+// TestReadRangeSharedSegments: two overlapping ranges through one cache
+// decode each shared month's chunks exactly once, and the cached
+// assembly is byte-identical to a cold one.
+func TestReadRangeSharedSegments(t *testing.T) {
+	s := world(t)
+	dir := t.TempDir()
+	man, err := archive.Write(dir, dataset.FromSim(s), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Chunks per month, and observation chunks (one per vantage) per
+	// month: the pre-slice path reads only the latter.
+	cols, obsCols := len(man.Segments[0].Columns), 1+len(man.Segments[0].ObservedV)
 	cache := &countingCache{}
 	opt := archive.ReadOptions{Workers: 2, Cache: cache}
 	cold, _, err := archive.ReadRangeWith(dir, 8, 12, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cache.adds != 5 || cache.hits != 0 {
-		t.Fatalf("cold read: %d adds, %d hits; want 5 adds, 0 hits", cache.adds, cache.hits)
+	// Months 8-12 in full plus the observation chunks of months 0-7.
+	if want := 5*cols + 8*obsCols; cache.adds != want || cache.hits != 0 {
+		t.Fatalf("cold read: %d adds, %d hits; want %d adds, 0 hits", cache.adds, cache.hits, want)
 	}
+	coldAdds := cache.adds
 	warm, _, err := archive.ReadRangeWith(dir, 10, 14, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cache.adds != 7 {
-		t.Errorf("overlap read re-decoded shared months: %d adds, want 7 (months 10-12 cached)", cache.adds)
+	if want := coldAdds + 2*cols; cache.adds != want {
+		t.Errorf("overlap read re-decoded shared chunks: %d adds, want %d (only months 13-14 new)", cache.adds, want)
 	}
-	// 3 shared selected months (10-12) plus the pre-slice observation
-	// logs of cached months 8-9 come from the cache.
-	if cache.hits != 5 {
-		t.Errorf("overlap read hit %d cached months, want 5", cache.hits)
+	// The chunks of the 3 shared selected months (10-12) plus the
+	// pre-slice observation chunks of months 0-9 come from the cache.
+	if want := 3*cols + 10*obsCols; cache.hits != want {
+		t.Errorf("overlap read hit %d cached chunks, want %d", cache.hits, want)
 	}
 	coldStudy, err := mevscope.AnalyzeDataset(cold, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Re-read the first range fully warm: every month cached, reports
+	// Re-read the first range fully warm: every chunk cached, reports
 	// byte-identical to the cold read's.
 	cached, _, err := archive.ReadRangeWith(dir, 8, 12, opt)
 	if err != nil {
@@ -282,14 +239,10 @@ func TestArchiveDetectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The default format is v3: the block data lives in the headers
-	// column chunk (v1/v2 archives name it in Blocks instead).
-	name := man.Segments[0].Blocks.Name
-	if name == "" {
-		for _, ci := range man.Segments[0].Columns {
-			if ci.Name == archive.ColHeaders {
-				name = ci.File.Name
-			}
+	var name string
+	for _, ci := range man.Segments[0].Columns {
+		if ci.Name == archive.ColHeaders {
+			name = ci.File.Name
 		}
 	}
 	victim := filepath.Join(dir, filepath.FromSlash(name))
@@ -462,50 +415,55 @@ func TestReadEqualsFullRange(t *testing.T) {
 	}
 }
 
-// TestRecompressMatchesDirectWrite: migrating a v2 archive through
-// Recompress must produce a v3 archive file-for-file identical to
-// archiving the dataset as v3 directly — the v2→v3 migration path adds
-// no drift, so a recompressed archive serves the same reports.
-func TestRecompressMatchesDirectWrite(t *testing.T) {
+// TestArchiveRefusesEarlierFormats: a manifest of another version, or a
+// version-3 manifest whose price history is still a frame file
+// (prices.seg), is refused up front with one error that names the last
+// commit able to read it and how to regenerate the archive.
+func TestArchiveRefusesEarlierFormats(t *testing.T) {
 	s := world(t)
 	ds := dataset.FromSim(s)
-	v2Dir, directDir, migratedDir := t.TempDir(), t.TempDir(), t.TempDir()
-	if _, err := archive.WriteFormat(v2Dir, ds, map[string]string{"seed": "17"}, archive.FormatV2); err != nil {
-		t.Fatal(err)
-	}
-	direct, err := archive.WriteFormat(directDir, ds, map[string]string{"seed": "17"}, archive.FormatV3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	migrated, err := archive.Recompress(v2Dir, migratedDir, archive.FormatV3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(migrated.Segments) != len(direct.Segments) {
-		t.Fatalf("migrated archive has %d segments, direct write has %d", len(migrated.Segments), len(direct.Segments))
-	}
-	for i, mseg := range migrated.Segments {
-		dseg := direct.Segments[i]
-		if len(mseg.Columns) != len(dseg.Columns) {
-			t.Fatalf("segment %s: migrated %d columns, direct %d", mseg.Label, len(mseg.Columns), len(dseg.Columns))
-		}
-		for j, mc := range mseg.Columns {
-			if dc := dseg.Columns[j]; mc.File.SHA256 != dc.File.SHA256 || mc != dc {
-				t.Errorf("segment %s column %s: migrated chunk differs from direct write", mseg.Label, mc.Name)
+	for _, c := range []struct {
+		name    string
+		version int
+		prices  string
+	}{
+		{"v1", 1, "prices.jsonl"},
+		{"v2", 2, "prices.seg"},
+		{"v3 with frame prices", 3, "prices.seg"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if _, err := archive.Write(dir, ds, nil); err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	if migrated.Prices.SHA256 != direct.Prices.SHA256 {
-		t.Error("migrated prices file differs from direct write")
-	}
-	restored, man, err := archive.Read(migratedDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if man.Format() != archive.FormatV3 {
-		t.Errorf("migrated archive reads back as %v, want v3", man.Format())
-	}
-	if restored.Chain.Len() != ds.Chain.Len() {
-		t.Errorf("migrated archive restored %d blocks, want %d", restored.Chain.Len(), ds.Chain.Len())
+			path := filepath.Join(dir, archive.ManifestName)
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var man archive.Manifest
+			if err := json.Unmarshal(raw, &man); err != nil {
+				t.Fatal(err)
+			}
+			man.Version, man.Prices.Name = c.version, c.prices
+			if raw, err = json.Marshal(&man); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, _, err = archive.Read(dir)
+			if err == nil {
+				t.Fatal("earlier-format archive read succeeded")
+			}
+			for _, want := range []string{"86ad49d", "mevscope archive"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("refusal %q does not mention %q", err, want)
+				}
+			}
+			if _, err := archive.ReadManifest(dir); err == nil {
+				t.Error("ReadManifest accepted the earlier-format manifest")
+			}
+		})
 	}
 }

@@ -16,10 +16,10 @@ import (
 	"mevscope/internal/types"
 )
 
-// The v3 column-chunk encoding. Where v2 stores one gzip stream of
-// whole-JSON document frames per month, v3 stores one chunk file per
-// (month, column) so a reader can decode exactly the columns a query
-// touches. A chunk file is:
+// The column-chunk encoding. Every data file of an archive is a chunk —
+// one per (month, column), plus the price history — so a reader decodes
+// exactly the columns a query touches, and one reader (readChunk)
+// verifies every file. A chunk file is:
 //
 //	offset 0:  magic "MCOL" (4 bytes, plain)
 //	offset 4:  codec byte 0x03 (plain)
@@ -42,11 +42,11 @@ import (
 // refused rather than mis-attributed.
 
 const (
-	// colMagic opens every v3 column-chunk file.
+	// colMagic opens every column-chunk file.
 	colMagic = "MCOL"
 	// colCodecByte is the chunk codec version the header carries.
-	colCodecByte = byte(FormatV3)
-	// colExt is the v3 chunk-file extension.
+	colCodecByte = byte(formatVersion)
+	// colExt is the chunk-file extension.
 	colExt = ".col"
 	// maxChunkSize caps a chunk's decompressed size; anything larger is
 	// corruption, not data (the largest real chunk is one month of
@@ -116,11 +116,11 @@ func (w *colWriter) hash(h types.Hash) {
 	w.uvarint(i)
 }
 
-// chunkLevel is the deflate level of every v3 chunk stream. It was
-// picked from a level sweep over a bpm-200 world (README "Archive
-// format"): level 5 writes in about 60% of level 9's time for 0.4% more
-// bytes; levels 4 and below cost more than 1% in bytes, and level 1
-// breaks the 3× margin over v2 on the bpm-50 world.
+// chunkLevel is the deflate level of every chunk stream. It was picked
+// from a level sweep over a bpm-200 world (README "Archive format"):
+// level 5 writes in about 60% of level 9's time for 0.4% more bytes;
+// levels 4 and below cost more than 1% in bytes, and level 1 breaks the
+// bpm-50 size bound TestArchiveV3CompressionRatio pins.
 const chunkLevel = 5
 
 // Chunk-encode scratch pools. A fresh deflater costs about 0.9 MB and a
@@ -364,7 +364,7 @@ func (r *colReader) done() error {
 	return nil
 }
 
-// Chunk-decode scratch pools. A projected v3 read decodes many small
+// Chunk-decode scratch pools. A projected read decodes many small
 // chunk files, and a fresh 64 KiB bufio buffer pair plus a fresh gzip
 // inflater per chunk dominated its allocation profile — the readers are
 // fully resettable, so they recycle across chunks and across the
@@ -491,6 +491,18 @@ func readChunk(root string, fi FileInfo, wantCol string) (_ *colReader, err erro
 		return nil, fmt.Errorf("archive: %s has %d rows, manifest says %d", fi.Name, r.rows, fi.Count)
 	}
 	return r, nil
+}
+
+// countingReader counts the bytes drawn through it.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (cr *countingReader) Read(p []byte) (int, error) {
+	n, err := cr.r.Read(p)
+	cr.n += int64(n)
+	return n, err
 }
 
 // grow returns s resized to n elements, reusing its array when it is

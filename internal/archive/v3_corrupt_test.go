@@ -11,10 +11,11 @@ import (
 	"mevscope/internal/dataset"
 )
 
-// The v3 refusal matrix: every way a column chunk or its manifest record
-// can rot — truncation, flipped dictionary bytes, a stale codec version,
-// foreign magic, a cross-linked column file, a zone map that disagrees
-// with the payload it summarizes — must surface as an error from Read,
+// The v3 refusal matrix: every way a column chunk (the price history
+// included) or its manifest record can rot — truncation, flipped bytes,
+// flipped dictionary bytes, a stale codec version, foreign magic, a
+// cross-linked column file, a zone map that disagrees with the payload
+// it summarizes — must surface as an error from Read,
 // never as a silently wrong dataset. The zone maps steer chunk skipping,
 // so zone/payload drift in particular would corrupt query results
 // without tripping any checksum.
@@ -26,7 +27,7 @@ func TestArchiveV3RefusesCorruption(t *testing.T) {
 	write := func(t *testing.T) (string, *archive.Manifest) {
 		t.Helper()
 		dir := t.TempDir()
-		man, err := archive.WriteFormat(dir, ds, nil, archive.FormatV3)
+		man, err := archive.Write(dir, ds, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,6 +184,24 @@ func TestArchiveV3RefusesCorruption(t *testing.T) {
 			mutateColumn(m, hdr, func(ci *archive.ColumnInfo) { ci.Month++ })
 		})
 		refuse(t, dir, "disagrees with segment")
+	})
+
+	// The price history is a chunk too, verified by the same reader.
+	t.Run("flipped prices byte", func(t *testing.T) {
+		dir, man := write(t)
+		tamper(t, dir, archive.ColumnInfo{File: man.Prices}, func(raw []byte) []byte {
+			raw[len(raw)/2] ^= 0x40
+			return raw
+		})
+		refuse(t, dir, "prices.col")
+	})
+
+	t.Run("truncated prices", func(t *testing.T) {
+		dir, man := write(t)
+		tamper(t, dir, archive.ColumnInfo{File: man.Prices}, func(raw []byte) []byte {
+			return raw[:len(raw)*2/3]
+		})
+		refuse(t, dir, "prices.col")
 	})
 
 	t.Run("projection skips the corrupt chunk", func(t *testing.T) {

@@ -44,35 +44,18 @@ func benchColdReport(b *testing.B, dir string) {
 	}
 }
 
-// BenchmarkServeColdReport is the cold query benchmark against a v2
-// archive — the month-granular frame encoding.
-func BenchmarkServeColdReport(b *testing.B) {
-	dir, _, _ := testArchives(b)
-	benchColdReport(b, dir)
-}
-
-// BenchmarkServeColdReportV1 is the same cold query against the same
-// world in the legacy v1 encoding: the regression baseline for the v2
-// restore path.
-func BenchmarkServeColdReportV1(b *testing.B) {
-	_, dir, _ := testArchives(b)
-	benchColdReport(b, dir)
-}
-
-// BenchmarkServeColdReportV3 is the same cold query against the same
-// world as column chunks — the default a new `mevscope archive`
-// produces.
+// BenchmarkServeColdReportV3 is the cold query against the column-chunk
+// archive a `mevscope archive` run produces.
 func BenchmarkServeColdReportV3(b *testing.B) {
-	_, _, dir := testArchives(b)
-	benchColdReport(b, dir)
+	benchColdReport(b, testArchive(b))
 }
 
 // BenchmarkServeColdArtifactProjected measures the projected cold serve:
-// a header-level artifact against a v3 archive decodes only the headers
+// a header-level artifact decodes only the headers
 // and flashbots chunks, so this is the number the projection path is
 // judged by against BenchmarkServeColdReportV3.
 func BenchmarkServeColdArtifactProjected(b *testing.B) {
-	_, _, dir := testArchives(b)
+	dir := testArchive(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -112,7 +95,7 @@ func overlappingRangeURLs() []string {
 // never seen: with the partial cache each window assembles cached
 // month partials; without it each window re-analyzes its whole range.
 func benchColdOverlapping(b *testing.B, partials bool) {
-	_, _, dir := testArchives(b)
+	dir := testArchive(b)
 	urls := overlappingRangeURLs()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -150,7 +133,7 @@ func BenchmarkServeColdOverlappingRangesFull(b *testing.B) { benchColdOverlappin
 // the report cache and rebuilds the report from warm partials. This is
 // the steady-state cost of a never-seen range over a hot month set.
 func BenchmarkServePartialAssemblyWarm(b *testing.B) {
-	_, _, dir := testArchives(b)
+	dir := testArchive(b)
 	srv, err := query.New(query.Config{
 		Archive: dir, Analyze: analyzeReal,
 		AnalyzePartial: mevscope.AnalyzeDatasetPartial,

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"mevscope/internal/core/measure"
-	"mevscope/internal/dataset"
 	"mevscope/internal/types"
 )
 
@@ -148,11 +147,11 @@ type PartialCacheStats struct {
 }
 
 // partialCache is the third cache level, between the report LRU and the
-// decoded-segment LRU: a concurrency-safe, byte-accounted LRU of
+// decoded-chunk LRU: a concurrency-safe, byte-accounted LRU of
 // analyzed month partials (measure.Partial). A range request that
 // misses the report LRU assembles its report from the partials of its
 // months, computing only the months not cached here — so overlapping,
-// sliding and adjacent ranges re-pay decoding at most (segment cache)
+// sliding and adjacent ranges re-pay decoding at most (chunk cache)
 // and analysis never, for the months they share. Partials are immutable
 // once sealed, so one entry feeds any number of concurrent merges
 // without copying. Eviction is by resident bytes (Partial.SizeBytes),
@@ -246,17 +245,15 @@ func (c *partialCache) stats() PartialCacheStats {
 	}
 }
 
-// segKey identifies one cached decode of one archive: a whole decoded
-// month segment (column "", the v1/v2 granularity) or a single v3 column
-// chunk.
+// segKey identifies one cached column-chunk decode of one archive.
 type segKey struct {
 	archive string
 	month   types.Month
 	column  string
 }
 
-// SegmentCacheStats is a point-in-time view of the segment LRU: entry
-// counters plus the on-disk bytes the cached decodes stand in for.
+// SegmentCacheStats is a point-in-time view of the decoded-chunk LRU:
+// entry counters plus the on-disk bytes the cached decodes stand in for.
 type SegmentCacheStats struct {
 	Size      int   `json:"size"`
 	Capacity  int   `json:"capacity"`
@@ -266,12 +263,11 @@ type SegmentCacheStats struct {
 	Evictions int64 `json:"evictions"`
 }
 
-// segmentCache is the second cache level, under the report LRU: a
-// concurrency-safe LRU of decoded archive data keyed by (archive, month,
-// column). For v1/v2 archives the unit is a whole decoded month segment
-// (column ""); for v3 archives it is a single decoded column chunk, so a
-// projected read warms exactly the chunks it touched and a later full
-// read (or a different projection) reuses them. A report-cache miss
+// segmentCache is the decode cache under the report and partial LRUs: a
+// concurrency-safe LRU of decoded column chunks keyed by (archive,
+// month, column), so a projected read warms exactly the chunks it
+// touched and a later full read (or a different projection) reuses
+// them. A report-cache miss
 // re-runs the measurement pipeline, but overlapping month ranges of the
 // same archive hit here for the decodes they share. Cached values are
 // immutable (blocks sealed, hashes cached, column data never mutated
@@ -279,7 +275,7 @@ type SegmentCacheStats struct {
 // datasets without copying. Every entry carries the on-disk bytes it
 // stands in for, surfaced in the stats.
 //
-// It implements archive.SegmentCache and archive.ChunkCache.
+// It implements archive.ChunkCache.
 type segmentCache struct {
 	mu        sync.Mutex
 	cap       int
@@ -291,8 +287,8 @@ type segmentCache struct {
 	evictions int64
 }
 
-// segEntry is one LRU element. val is a *dataset.Segment for column ""
-// and the archive decoder's opaque column representation otherwise.
+// segEntry is one LRU element. val is the archive decoder's opaque
+// column representation.
 type segEntry struct {
 	key   segKey
 	val   any
@@ -346,27 +342,13 @@ func (c *segmentCache) put(k segKey, val any, bytes int64) {
 	}
 }
 
-// Get returns the cached month segment (archive.SegmentCache).
-func (c *segmentCache) Get(dir string, m types.Month) (*dataset.Segment, bool) {
-	v, ok := c.get(segKey{dir, m, ""})
-	if !ok {
-		return nil, false
-	}
-	return v.(*dataset.Segment), true
-}
-
-// Add caches a decoded month segment (archive.SegmentCache).
-func (c *segmentCache) Add(dir string, m types.Month, seg *dataset.Segment, bytes int64) {
-	c.put(segKey{dir, m, ""}, seg, bytes)
-}
-
-// GetChunk returns the cached decode of one v3 column chunk
+// GetChunk returns the cached decode of one column chunk
 // (archive.ChunkCache).
 func (c *segmentCache) GetChunk(dir string, m types.Month, col string) (any, bool) {
 	return c.get(segKey{dir, m, col})
 }
 
-// AddChunk caches a decoded v3 column chunk (archive.ChunkCache).
+// AddChunk caches a decoded column chunk (archive.ChunkCache).
 func (c *segmentCache) AddChunk(dir string, m types.Month, col string, v any, bytes int64) {
 	c.put(segKey{dir, m, col}, v, bytes)
 }

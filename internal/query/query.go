@@ -12,10 +12,10 @@
 // Repeated queries for any artifact of the same slice — any format —
 // skip the pipeline entirely and re-encode the cached report's
 // structured artifact model (measure.Artifact). Beneath the report LRU
-// sits a second, segment-granular LRU of decoded archive months: a
-// report miss re-runs the pipeline, but the months its range shares with
-// earlier queries come out of memory instead of the disk, so overlapping
-// ranges never re-read or re-decode a segment.
+// sits a second LRU of decoded archive column chunks: a report miss
+// re-runs the pipeline, but the chunks its range shares with earlier
+// queries come out of memory instead of the disk, so overlapping ranges
+// never re-read or re-decode a chunk.
 //
 // Endpoints:
 //
@@ -133,11 +133,10 @@ type Config struct {
 	// CacheSize bounds the report LRU; 0 selects 16 entries.
 	CacheSize int
 	// SegmentCacheSize bounds the second-level LRU of decoded archive
-	// data; 0 selects 256 entries. The unit is one decoded month segment
-	// for v1/v2 archives and one decoded column chunk for v3 (several
-	// entries per month — hence the larger default). Overlapping month
-	// ranges share the decodes they both touch through this cache, so a
-	// cold report build re-reads only what no earlier query decoded.
+	// data; 0 selects 256 entries. The unit is one decoded column chunk
+	// (several entries per month). Overlapping month ranges share the
+	// decodes they both touch through this cache, so a cold report build
+	// re-reads only what no earlier query decoded.
 	SegmentCacheSize int
 	// DisableMetrics turns off request accounting and the /metrics
 	// endpoint (which then 404s). Metrics are on by default: recording is
@@ -239,7 +238,8 @@ func (s *Server) SetLive(src Live) {
 // CacheStats reports the report cache's hit/miss/eviction counters.
 func (s *Server) CacheStats() CacheStats { return s.cache.stats() }
 
-// SegmentCacheStats reports the second-level segment cache's counters.
+// SegmentCacheStats reports the second-level decoded-chunk cache's
+// counters.
 func (s *Server) SegmentCacheStats() SegmentCacheStats { return s.segs.stats() }
 
 // PartialCacheStats reports the month-partial cache's counters. Zero
@@ -514,7 +514,7 @@ func (s *Server) runBuild(key Key, build func(Key) (*measure.Report, error)) (re
 }
 
 // analyze is the cold path: restore the month slice — months another
-// range already decoded come from the segment cache, the rest from disk
+// range already decoded come from the chunk cache, the rest from disk
 // in parallel — select the requested observation view, and run the
 // measurement pipeline over it. With AnalyzePartial configured, the
 // range is assembled from per-month partials instead: each month comes
@@ -627,7 +627,7 @@ func (s *Server) partial(key Key, m types.Month, sp *obs.Span) (p *measure.Parti
 }
 
 // buildPartial is the partial cold path: a single-month restore (warmed
-// by and warming the shared segment cache) analyzed under the key's
+// by and warming the shared chunk cache) analyzed under the key's
 // view.
 func (s *Server) buildPartial(pk partialKey, sp *obs.Span) (*measure.Partial, error) {
 	psp := sp.Child(obs.StagePartial)
@@ -953,7 +953,7 @@ func (s *Server) handleBlock(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleCache serves every cache level's hit/miss counters: the report
-// LRU, the month-partial LRU (when configured) and the decoded-segment
+// LRU, the month-partial LRU (when configured) and the decoded-chunk
 // LRU beneath them.
 func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, struct {

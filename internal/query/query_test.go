@@ -41,17 +41,8 @@ func TestMain(m *testing.M) {
 }
 
 // testArchive simulates a small full-window world (the observation
-// window opens, so every artifact has rows) and archives it in every
-// format: v2 (the month-granular baseline most tests front — its cache
-// counts are exact months), v1 (the legacy baseline the cold-query
-// benchmark compares against) and v3 (column chunks, the projection and
-// chunk-cache tests).
+// window opens, so every artifact has rows) and archives it once.
 func testArchive(tb testing.TB) string {
-	dir, _, _ := testArchives(tb)
-	return dir
-}
-
-func testArchives(tb testing.TB) (v2, v1, v3 string) {
 	tb.Helper()
 	archOnce.Do(func() {
 		dir, err := os.MkdirTemp("", "mevscope-query-*")
@@ -74,16 +65,7 @@ func testArchives(tb testing.TB) (v2, v1, v3 string) {
 			return
 		}
 		meta := map[string]string{"scenario": "baseline", "seed": "7"}
-		ds := dataset.FromSim(s)
-		if _, err := archive.WriteFormat(dir+"/v2", ds, meta, archive.FormatV2); err != nil {
-			archErr = err
-			return
-		}
-		if _, err := archive.WriteFormat(dir+"/v1", ds, meta, archive.FormatV1); err != nil {
-			archErr = err
-			return
-		}
-		if _, err := archive.WriteFormat(dir+"/v3", ds, meta, archive.FormatV3); err != nil {
+		if _, err := archive.Write(dir, dataset.FromSim(s), meta); err != nil {
 			archErr = err
 			return
 		}
@@ -92,7 +74,7 @@ func testArchives(tb testing.TB) (v2, v1, v3 string) {
 	if archErr != nil {
 		tb.Fatal(archErr)
 	}
-	return archDir + "/v2", archDir + "/v1", archDir + "/v3"
+	return archDir
 }
 
 // analyzeReal adapts the full measurement pipeline to query.AnalyzeFunc.
@@ -458,22 +440,38 @@ func TestMonthsOutsideArchive(t *testing.T) {
 	}
 }
 
+// chunkCounts returns the archive's column chunks per month and its
+// observation chunks (one per vantage) per month: the decode cache's
+// units, since the pre-slice path reads only the latter.
+func chunkCounts(tb testing.TB, dir string) (cols, obsCols int) {
+	tb.Helper()
+	man, err := archive.ReadManifest(dir)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	si := man.Segments[0]
+	return len(si.Columns), 1 + len(si.ObservedV)
+}
+
 // TestSegmentCacheSharesOverlap: overlapping month ranges are distinct
 // report-cache keys (both analyze), but the months they share decode
-// once — the second query's cold build reads only the months the first
-// one never touched, and /v1/cache exposes both levels.
+// once — the second query's cold build decodes only the chunks of the
+// months the first one never touched, and /v1/cache exposes both levels.
 func TestSegmentCacheSharesOverlap(t *testing.T) {
 	var calls atomic.Int64
 	srv := newServer(t, 8, &calls)
+	cols, obsCols := chunkCounts(t, testArchive(t))
 	if code, body := get(t, srv, "/v1/artifact/fig3?months=2021-01..2021-06"); code != http.StatusOK {
 		t.Fatalf("first range failed: %s", body)
 	}
+	// Six months in full plus the observation chunks of the eight
+	// months before the range (2020-05..2020-12).
 	first := srv.SegmentCacheStats()
-	if first.Size != 6 || first.Hits != 0 {
-		t.Fatalf("first cold range: segment cache %+v, want 6 decoded months, 0 hits", first)
+	if want := 6*cols + 8*obsCols; first.Size != want || first.Hits != 0 {
+		t.Fatalf("first cold range: decode cache %+v, want %d decoded chunks, 0 hits", first, want)
 	}
 	if first.Bytes <= 0 {
-		t.Errorf("segment cache accounts %d bytes, want > 0", first.Bytes)
+		t.Errorf("decode cache accounts %d bytes, want > 0", first.Bytes)
 	}
 	if code, body := get(t, srv, "/v1/artifact/fig3?months=2021-04..2021-09"); code != http.StatusOK {
 		t.Fatalf("overlapping range failed: %s", body)
@@ -482,19 +480,19 @@ func TestSegmentCacheSharesOverlap(t *testing.T) {
 	if got := calls.Load(); got != 2 {
 		t.Fatalf("analyze calls = %d, want 2 (distinct ranges are distinct reports)", got)
 	}
-	if second.Size != 9 {
-		t.Errorf("after overlap: %d cached months, want 9 (2021-01..2021-09)", second.Size)
+	if want := first.Size + 3*cols; second.Size != want {
+		t.Errorf("after overlap: %d cached chunks, want %d (only 2021-07..2021-09 new)", second.Size, want)
 	}
-	if second.Hits < 3 {
-		t.Errorf("overlap hit %d cached segments, want ≥ 3 (2021-04..2021-06 shared)", second.Hits)
+	if second.Hits < int64(3*cols) {
+		t.Errorf("overlap hit %d cached chunks, want ≥ %d (2021-04..2021-06 shared)", second.Hits, 3*cols)
 	}
-	// The exact same range again: pure report-cache hit, segment cache
+	// The exact same range again: pure report-cache hit, decode cache
 	// untouched.
 	if code, _ := get(t, srv, "/v1/artifact/fig3?months=2021-04..2021-09"); code != http.StatusOK {
 		t.Fatal("repeat range failed")
 	}
 	if after := srv.SegmentCacheStats(); after.Hits != second.Hits || after.Misses != second.Misses {
-		t.Errorf("report-cache hit touched the segment cache: %+v vs %+v", after, second)
+		t.Errorf("report-cache hit touched the decode cache: %+v vs %+v", after, second)
 	}
 	if got := calls.Load(); got != 2 {
 		t.Errorf("analyze calls after repeat = %d, want 2", got)
@@ -516,8 +514,33 @@ func TestSegmentCacheSharesOverlap(t *testing.T) {
 	}
 }
 
-// TestSegmentCacheEviction: a tiny segment cache keeps serving correct
-// reports while evicting, it just re-reads more.
+// TestSegmentCacheCountsNoPhantomMisses: every decode-cache miss of a
+// cold range is a chunk that was then decoded and cached — no lookup
+// misses for data no read ever adds — so on a fresh server misses equal
+// the cached entries, and /v1/cache reports the same counts.
+func TestSegmentCacheCountsNoPhantomMisses(t *testing.T) {
+	srv := newServer(t, 8, nil)
+	if code, body := get(t, srv, "/v1/artifact/fig3?months=2021-01..2021-06"); code != http.StatusOK {
+		t.Fatalf("range failed: %s", body)
+	}
+	st := srv.SegmentCacheStats()
+	if st.Misses != int64(st.Size) || st.Evictions != 0 {
+		t.Errorf("cold range: %d misses for %d cached chunks (%d evictions); want misses == size", st.Misses, st.Size, st.Evictions)
+	}
+	_, body := get(t, srv, "/v1/cache")
+	var stats struct {
+		Segments query.SegmentCacheStats `json:"segments"`
+	}
+	if err := json.Unmarshal([]byte(body), &stats); err != nil {
+		t.Fatal(err)
+	}
+	if stats.Segments != st {
+		t.Errorf("/v1/cache segments %+v, server stats %+v", stats.Segments, st)
+	}
+}
+
+// TestSegmentCacheEviction: a tiny decode cache (two chunks) keeps
+// serving correct reports while evicting, it just re-reads more.
 func TestSegmentCacheEviction(t *testing.T) {
 	srv, err := query.New(query.Config{
 		Archive:          testArchive(t),
@@ -536,7 +559,7 @@ func TestSegmentCacheEviction(t *testing.T) {
 	if st.Size != 2 || st.Evictions == 0 {
 		t.Errorf("tiny cache stats %+v, want size 2 with evictions", st)
 	}
-	// Evicted months re-decode correctly: same body as the first query
+	// Evicted chunks re-decode correctly: same body as the first query
 	// (report cache is large enough to hold both, so force a fresh server).
 	srv2, err := query.New(query.Config{
 		Archive:          testArchive(t),
@@ -548,75 +571,72 @@ func TestSegmentCacheEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, got := get(t, srv2, "/v1/artifact/fig3?months=2021-01..2021-06"); got != want {
-		t.Error("report over a thrashing segment cache differs")
+		t.Error("report over a thrashing decode cache differs")
 	}
 }
 
 // TestBlockEndpoint: /v1/block serves single blocks straight off the
-// manifest's block index — no report build, no full restore — against
-// both the frame (v2) and column-chunk (v3) encodings, and turns
+// manifest's zone maps — no report build, no full restore — and turns
 // out-of-range or malformed numbers into 404/400, not 500.
 func TestBlockEndpoint(t *testing.T) {
-	v2Dir, _, v3Dir := testArchives(t)
-	for _, dir := range []string{v2Dir, v3Dir} {
-		man, err := archive.ReadManifest(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var calls atomic.Int64
-		srv, err := query.New(query.Config{
-			Archive: dir,
-			Analyze: func(ds *dataset.Dataset, workers int, sp *obs.Span) (*measure.Report, error) {
-				calls.Add(1)
-				return analyzeReal(ds, workers, sp)
-			},
-			Workers: 1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := man.Segments[len(man.Segments)/2].FirstBlock
-		status, body := get(t, srv, fmt.Sprintf("/v1/block?number=%d", want))
-		if status != http.StatusOK {
-			t.Fatalf("block %d → %d: %s", want, status, body)
-		}
-		var got struct {
-			Header struct{ Number uint64 }
-		}
-		if err := json.Unmarshal([]byte(body), &got); err != nil {
-			t.Fatal(err)
-		}
-		if got.Header.Number != want {
-			t.Errorf("asked for block %d, got %d", want, got.Header.Number)
-		}
-		if calls.Load() != 0 {
-			t.Errorf("block lookup ran the analysis pipeline %d times", calls.Load())
-		}
-		if status, _ := get(t, srv, fmt.Sprintf("/v1/block?number=%d", man.Head+1)); status != http.StatusNotFound {
-			t.Errorf("past-head block → %d, want 404", status)
-		}
-		if status, _ := get(t, srv, "/v1/block?number=bogus"); status != http.StatusBadRequest {
-			t.Errorf("malformed block number → %d, want 400", status)
-		}
-		if status, _ := get(t, srv, "/v1/block"); status != http.StatusBadRequest {
-			t.Errorf("missing block number → %d, want 400", status)
-		}
+	dir := testArchive(t)
+	man, err := archive.ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var calls atomic.Int64
+	srv, err := query.New(query.Config{
+		Archive: dir,
+		Analyze: func(ds *dataset.Dataset, workers int, sp *obs.Span) (*measure.Report, error) {
+			calls.Add(1)
+			return analyzeReal(ds, workers, sp)
+		},
+		Workers: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := man.Segments[len(man.Segments)/2].FirstBlock
+	status, body := get(t, srv, fmt.Sprintf("/v1/block?number=%d", want))
+	if status != http.StatusOK {
+		t.Fatalf("block %d → %d: %s", want, status, body)
+	}
+	var got struct {
+		Header struct{ Number uint64 }
+	}
+	if err := json.Unmarshal([]byte(body), &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Header.Number != want {
+		t.Errorf("asked for block %d, got %d", want, got.Header.Number)
+	}
+	if calls.Load() != 0 {
+		t.Errorf("block lookup ran the analysis pipeline %d times", calls.Load())
+	}
+	if status, _ := get(t, srv, fmt.Sprintf("/v1/block?number=%d", man.Head+1)); status != http.StatusNotFound {
+		t.Errorf("past-head block → %d, want 404", status)
+	}
+	if status, _ := get(t, srv, "/v1/block?number=bogus"); status != http.StatusBadRequest {
+		t.Errorf("malformed block number → %d, want 400", status)
+	}
+	if status, _ := get(t, srv, "/v1/block"); status != http.StatusBadRequest {
+		t.Errorf("missing block number → %d, want 400", status)
 	}
 }
 
 // TestProjectedArtifactMatchesFull: with the projection hook installed,
-// a projectable artifact over a v3 archive is built from a column
+// a projectable artifact is built from a column
 // projection — the full pipeline never runs — and its response body is
 // byte-identical to the same artifact served off a full report build.
 func TestProjectedArtifactMatchesFull(t *testing.T) {
-	_, _, v3Dir := testArchives(t)
+	dir := testArchive(t)
 	var fullCalls, projCalls atomic.Int64
-	full, err := query.New(query.Config{Archive: v3Dir, Analyze: analyzeReal, Workers: 1})
+	full, err := query.New(query.Config{Archive: dir, Analyze: analyzeReal, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	proj, err := query.New(query.Config{
-		Archive: v3Dir,
+		Archive: dir,
 		Analyze: func(ds *dataset.Dataset, workers int, sp *obs.Span) (*measure.Report, error) {
 			fullCalls.Add(1)
 			return analyzeReal(ds, workers, sp)
@@ -668,26 +688,25 @@ func TestProjectedArtifactMatchesFull(t *testing.T) {
 	}
 }
 
-// TestChunkCacheGranularV3: fronting a v3 archive, the decode cache
-// holds individual column chunks — more entries than the archive has
-// months — so a projected read and a later full read share the chunks
-// they overlap on.
+// TestChunkCacheGranularV3: the decode cache holds individual column
+// chunks — more entries than the archive has months — so a projected
+// read and a later full read share the chunks they overlap on.
 func TestChunkCacheGranularV3(t *testing.T) {
-	_, _, v3Dir := testArchives(t)
-	srv, err := query.New(query.Config{Archive: v3Dir, Analyze: analyzeReal, Workers: 1})
+	dir := testArchive(t)
+	srv, err := query.New(query.Config{Archive: dir, Analyze: analyzeReal, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if status, body := get(t, srv, "/v1/report?format=text"); status != http.StatusOK {
 		t.Fatalf("report → %d: %s", status, body)
 	}
-	man, err := archive.ReadManifest(v3Dir)
+	man, err := archive.ReadManifest(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := srv.SegmentCacheStats()
 	if st.Size <= len(man.Segments) {
-		t.Errorf("v3 decode cache holds %d entries for %d segments; want chunk granularity", st.Size, len(man.Segments))
+		t.Errorf("decode cache holds %d entries for %d segments; want chunk granularity", st.Size, len(man.Segments))
 	}
 	if st.Bytes <= 0 {
 		t.Errorf("chunk cache accounts %d bytes", st.Bytes)
