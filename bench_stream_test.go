@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"mevscope/internal/dataset"
 	"mevscope/internal/sim"
 	"mevscope/internal/stream"
 	"mevscope/internal/types"
@@ -44,7 +45,7 @@ func BenchmarkPipelineBatch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := AnalyzeWith(s, 1); err != nil {
+		if _, err := AnalyzeDataset(dataset.FromSim(s), 1); err != nil {
 			b.Fatal(err)
 		}
 	}

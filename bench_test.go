@@ -14,6 +14,7 @@ import (
 	"mevscope/internal/core/measure"
 	"mevscope/internal/core/privinfer"
 	"mevscope/internal/core/profit"
+	"mevscope/internal/dataset"
 	"mevscope/internal/sim"
 	"mevscope/internal/types"
 )
@@ -44,7 +45,14 @@ func benchSetup(b *testing.B) {
 			Profits:  study.Profits,
 			WETH:     study.Sim.World.WETH,
 		}
-		benchInf = study.Inferrer
+		// A fresh inferrer over the sim's observer, not study.Inferrer:
+		// that one replays the month partials' verdicts, and the
+		// inference benchmarks measure classification.
+		if study.Inferrer != nil {
+			c := study.Sim.Chain
+			winStart := c.Timeline.FirstBlockOfMonth(types.PrivateWindowStartMonth)
+			benchInf = privinfer.New(c, study.Sim.Net.Observer(), benchIn.FBSet, winStart, c.Head().Header.Number)
+		}
 	})
 	if benchStudy == nil {
 		b.Fatal("bench world failed to build")
@@ -264,7 +272,7 @@ func benchAnalyze(b *testing.B, workers int) {
 	s := benchStudy.Sim
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := AnalyzeWith(s, workers); err != nil {
+		if _, err := AnalyzeDataset(dataset.FromSim(s), workers); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -281,8 +289,38 @@ func BenchmarkAnalyzeParallel2(b *testing.B) { benchAnalyze(b, 2) }
 // ≥4-core machine wall-clock should be well under the sequential run.
 func BenchmarkAnalyzeParallel4(b *testing.B) { benchAnalyze(b, 4) }
 
-// BenchmarkAnalyzeParallelNumCPU runs the default Analyze configuration.
+// BenchmarkAnalyzeParallelNumCPU runs the pipeline at the default
+// worker count (runtime.NumCPU()).
 func BenchmarkAnalyzeParallelNumCPU(b *testing.B) { benchAnalyze(b, -1) }
+
+var (
+	unionBenchOnce sync.Once
+	unionBenchDS   *dataset.Dataset
+)
+
+// BenchmarkAnalyzeUnion runs the pipeline with a 2-worker pool over a
+// multi-vantage world classified against the union of its vantages —
+// the case where the vantage-coverage pass reads the most log: every
+// vantage's plus their materialized union.
+func BenchmarkAnalyzeUnion(b *testing.B) {
+	unionBenchOnce.Do(func() {
+		study, err := Run(Options{Seed: 1234, BlocksPerMonth: 100, Scenario: "multi-vantage-union"})
+		if err != nil {
+			panic(err)
+		}
+		unionBenchDS = dataset.FromSim(study.Sim)
+		unionBenchDS.View = "union"
+	})
+	if unionBenchDS == nil {
+		b.Fatal("union bench world failed to build")
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := AnalyzeDataset(unionBenchDS, 2); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 // BenchmarkEnsemble4Seeds measures a small multi-seed ensemble end to end
 // (4 seeds × 3 months), the scenario-sweep workload.

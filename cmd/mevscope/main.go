@@ -605,9 +605,10 @@ func startLive(srv *query.Server, opts mevscope.Options, quiet bool) error {
 
 // sealMonth freezes one completed month of the live follower as an
 // analyzed partial — the same memoization unit the archive-backed query
-// path caches (measure.Partial).
+// path caches (measure.Partial). It runs under the stepping mutex: the
+// month slice shares the follower's blocks and logs.
 func sealMonth(f *stream.Follower, m types.Month, workers int) (*measure.Partial, error) {
-	ds, err := f.MonthDataset(m)
+	ds, err := f.Dataset().Month(m)
 	if err != nil {
 		return nil, err
 	}

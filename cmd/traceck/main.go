@@ -26,9 +26,10 @@ import (
 )
 
 // defaultStages is the stage set an analyze run must record: the
-// archive restore with its per-segment decodes, the measurement core,
-// and the final render.
-const defaultStages = "archive:restore,archive:decode,detect,profit,aggregate,build,render"
+// archive restore with its per-segment decodes, the month partials with
+// the measurement core under them, the merge's builders, and the final
+// render.
+const defaultStages = "archive:restore,archive:decode,analyze:partial,detect,profit,aggregate,build,render"
 
 // nestTolerance is the slack (in trace microseconds) allowed between a
 // child's interval and its parent's: span ends are observed on

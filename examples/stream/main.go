@@ -14,6 +14,7 @@ import (
 	"os"
 
 	"mevscope"
+	"mevscope/internal/dataset"
 	"mevscope/internal/sim"
 	"mevscope/internal/stream"
 	"mevscope/internal/types"
@@ -55,8 +56,9 @@ func main() {
 	}
 
 	// The final streamed report is byte-identical to the batch pipeline
-	// over the finished world — the subsystem's core guarantee.
-	batch, err := mevscope.Analyze(s)
+	// (month partials, merged) over the finished world — the subsystem's
+	// core guarantee.
+	batch, err := mevscope.AnalyzeDataset(dataset.FromSim(s), -1)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -18,6 +18,7 @@ var (
 	ErrBadParent    = errors.New("chain: block does not extend the head")
 	ErrUnsealed     = errors.New("chain: block is not sealed")
 	ErrReceiptCount = errors.New("chain: receipt count does not match transactions")
+	ErrReadOnly     = errors.New("chain: month slice is read-only")
 )
 
 // TxLocation points at a transaction's position on chain.
@@ -38,6 +39,10 @@ type Chain struct {
 	InitialBaseFee types.Amount
 	// GasLimit is the per-block gas limit used for base-fee targeting.
 	GasLimit uint64
+
+	// readOnly marks a month slice (see Month): its indexes belong to
+	// the chain it was cut from.
+	readOnly bool
 }
 
 // New creates an empty chain over the timeline.
@@ -112,6 +117,9 @@ func (c *Chain) NextBaseFee() types.Amount {
 
 // Append validates and stores a sealed block extending the head.
 func (c *Chain) Append(b *types.Block) error {
+	if c.readOnly {
+		return ErrReadOnly
+	}
 	if b.Hash().IsZero() {
 		return ErrUnsealed
 	}
@@ -144,7 +152,7 @@ func (c *Chain) ByNumber(n uint64) (*types.Block, error) {
 // ByHash returns a block by its hash.
 func (c *Chain) ByHash(h types.Hash) (*types.Block, error) {
 	b, ok := c.byHash[h]
-	if !ok {
+	if !ok || !c.holds(b.Header.Number) {
 		return nil, ErrNotFound
 	}
 	return b, nil
@@ -153,18 +161,21 @@ func (c *Chain) ByHash(h types.Hash) (*types.Block, error) {
 // TxLocation returns where a transaction landed on chain.
 func (c *Chain) TxLocation(h types.Hash) (TxLocation, bool) {
 	loc, ok := c.txIndex[h]
-	return loc, ok
+	if !ok || !c.holds(loc.BlockNumber) {
+		return TxLocation{}, false
+	}
+	return loc, true
 }
 
 // HasTx reports whether the transaction is on chain.
 func (c *Chain) HasTx(h types.Hash) bool {
-	_, ok := c.txIndex[h]
+	_, ok := c.TxLocation(h)
 	return ok
 }
 
 // Receipt returns the receipt for a mined transaction.
 func (c *Chain) Receipt(h types.Hash) (*types.Receipt, error) {
-	loc, ok := c.txIndex[h]
+	loc, ok := c.TxLocation(h)
 	if !ok {
 		return nil, ErrNotFound
 	}
@@ -173,6 +184,37 @@ func (c *Chain) Receipt(h types.Hash) (*types.Receipt, error) {
 		return nil, err
 	}
 	return b.Receipts[loc.Index], nil
+}
+
+// holds reports whether a height is one of the chain's own blocks: a
+// month slice shares the indexes of the chain it was cut from.
+func (c *Chain) holds(n uint64) bool {
+	return len(c.blocks) > 0 && n >= c.blocks[0].Header.Number && n <= c.Head().Header.Number
+}
+
+// Month returns study month m as a read-only chain on a timeline
+// anchored at the month, as a single-month archive restore has it. It
+// shares this chain's blocks and indexes, answering only for the
+// month's blocks, so it must not be read while this chain grows.
+func (c *Chain) Month(m types.Month) *Chain {
+	tl := c.Timeline
+	tl.StartBlock = c.Timeline.FirstBlockOfMonth(m)
+	tl.FirstMonth = m
+	out := &Chain{
+		Timeline:       tl,
+		byHash:         c.byHash,
+		txIndex:        c.txIndex,
+		InitialBaseFee: c.InitialBaseFee,
+		GasLimit:       c.GasLimit,
+		readOnly:       true,
+	}
+	if tl.StartBlock >= c.Timeline.StartBlock { // else m precedes the chain
+		lo := tl.StartBlock - c.Timeline.StartBlock
+		if hi := min(lo+tl.BlocksPerMonth, uint64(len(c.blocks))); lo < hi {
+			out.blocks = c.blocks[lo:hi:hi]
+		}
+	}
+	return out
 }
 
 // Blocks returns the full chain in ascending height order. The slice is
@@ -196,17 +238,9 @@ func (c *Chain) Range(from, to uint64, fn func(*types.Block) bool) {
 	}
 }
 
-// BlocksInMonth returns the blocks minted during a study month.
-func (c *Chain) BlocksInMonth(m types.Month) []*types.Block {
-	var out []*types.Block
-	from := c.Timeline.FirstBlockOfMonth(m)
-	to := from + c.Timeline.BlocksPerMonth - 1
-	c.Range(from, to, func(b *types.Block) bool {
-		out = append(out, b)
-		return true
-	})
-	return out
-}
+// BlocksInMonth returns the blocks minted during a study month. The
+// slice is shared; callers must not mutate it.
+func (c *Chain) BlocksInMonth(m types.Month) []*types.Block { return c.Month(m).Blocks() }
 
 // EachLog walks every log in a block range, passing the enclosing block,
 // transaction index and log.

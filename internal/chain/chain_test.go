@@ -250,3 +250,52 @@ func TestBaseFeeBoundedProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestMonthSlice: a month slice holds exactly the month's blocks on a
+// timeline anchored at the month, answers lookups only for them although
+// it shares the parent's indexes, and refuses appends.
+func TestMonthSlice(t *testing.T) {
+	c := New(types.DefaultTimeline(10))
+	var txs []types.Hash
+	for i := 0; i < 25; i++ { // months 0, 1 and half of 2
+		tx := &types.Transaction{Nonce: uint64(i), From: types.DeriveAddress("m", uint64(i))}
+		b := &types.Block{Header: types.Header{Number: c.NextNumber()}, Txs: []*types.Transaction{tx},
+			Receipts: []*types.Receipt{{TxHash: tx.Hash(), Status: types.StatusSuccess}}}
+		b.Seal()
+		if err := c.Append(b); err != nil {
+			t.Fatal(err)
+		}
+		txs = append(txs, tx.Hash())
+	}
+	m1 := c.Month(1)
+	if m1.Len() != 10 || m1.Timeline.FirstMonth != 1 || m1.Timeline.StartBlock != c.Timeline.FirstBlockOfMonth(1) {
+		t.Fatalf("month 1: %d blocks, timeline %+v", m1.Len(), m1.Timeline)
+	}
+	if b, err := m1.ByNumber(m1.Timeline.StartBlock); err != nil || b != c.Blocks()[10] {
+		t.Fatalf("ByNumber of the month's first block: %v", err)
+	}
+	if _, err := m1.ByNumber(m1.Timeline.StartBlock - 1); err == nil {
+		t.Error("ByNumber answered for the previous month")
+	}
+	for i, h := range txs {
+		own := i >= 10 && i < 20
+		if m1.HasTx(h) != own {
+			t.Errorf("tx %d: HasTx = %v, want %v", i, !own, own)
+		}
+		if _, err := m1.Receipt(h); (err == nil) != own {
+			t.Errorf("tx %d: Receipt err = %v", i, err)
+		}
+		if _, err := m1.ByHash(c.Blocks()[i].Hash()); (err == nil) != own {
+			t.Errorf("block %d: ByHash err = %v", i, err)
+		}
+	}
+	if err := m1.Append(mkBlock(m1, 0)); err != ErrReadOnly {
+		t.Errorf("Append on a month slice: %v, want ErrReadOnly", err)
+	}
+	if m2 := c.Month(2); m2.Len() != 5 || m2.Head() != c.Head() {
+		t.Errorf("open month 2: %d blocks", m2.Len())
+	}
+	if m3 := c.Month(3); m3.Head() != nil {
+		t.Error("month 3 has no blocks yet")
+	}
+}

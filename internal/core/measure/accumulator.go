@@ -41,11 +41,12 @@ func (agg *monthAgg) feed(b *types.Block) {
 
 // Accumulator maintains the chain-derived aggregates of the report
 // incrementally: the streaming block-follower feeds it one block at a
-// time and can snapshot a full Report at any height, while the batch
-// Build constructs the same aggregates in one parallel pass over the
-// finished chain. Both paths flow through the same builder code, so a
-// snapshot after feeding blocks [start, n] is byte-identical to a batch
-// Build over a chain truncated at n.
+// time and can snapshot a full Report at any height, while batch
+// analysis freezes the same per-month aggregates into month partials
+// (NewPartial) and merges them (MergePartials). Both paths flow through
+// the same builder code, so a snapshot after feeding blocks [start, n]
+// is byte-identical to the merged batch report over a chain truncated
+// at n.
 type Accumulator struct {
 	tl       types.Timeline
 	weth     types.Address
@@ -77,8 +78,7 @@ func (a *Accumulator) FBBlocks() []flashbots.BlockRecord { return a.fb }
 
 // Report assembles the full report from the accumulated aggregates plus
 // the detector/profit/inference inputs. in.FBBlocks is overridden with
-// the accumulator's own record list (they are identical in the batch
-// path; in the streaming path the accumulator's list is the authority).
+// the accumulator's own record list, the live public-API dataset.
 func (a *Accumulator) Report(in Inputs, inf *privinfer.Inferrer) *Report {
 	in.FBBlocks = a.fb
 	return buildWith(in, a, inf)

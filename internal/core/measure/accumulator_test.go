@@ -10,10 +10,46 @@ import (
 	"mevscope/internal/types"
 )
 
+// mergeMonths runs the batch report path over full-range inputs: cut
+// them into month inputs, freeze each month as a partial and merge.
+func mergeMonths(t *testing.T, in Inputs) *Report {
+	t.Helper()
+	tl := in.Chain.Timeline
+	first := tl.MonthOfBlock(tl.StartBlock)
+	last := tl.MonthOfBlock(in.Chain.Head().Header.Number)
+	var parts []*Partial
+	for m := first; m <= last; m++ {
+		mi := in
+		mi.Chain = in.Chain.Month(m)
+		mi.FBBlocks = nil
+		for _, rec := range in.FBBlocks {
+			if tl.MonthOfBlock(rec.BlockNumber) == m {
+				mi.FBBlocks = append(mi.FBBlocks, rec)
+			}
+		}
+		mi.Profits = nil
+		for _, r := range in.Profits {
+			if r.Month == m {
+				mi.Profits = append(mi.Profits, r)
+			}
+		}
+		p, err := NewPartial(mi, nil, nil)
+		if err != nil {
+			t.Fatalf("month %s: %v", m.Label(), err)
+		}
+		parts = append(parts, p)
+	}
+	rep, err := MergePartials(parts, in.View, in.Workers, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
 // TestAccumulatorMatchesBatchAggregates: feeding blocks one at a time
-// must produce the same report as the batch aggregate pass over the
-// finished chain — the streaming/batch seam contract at the measure
-// layer.
+// must produce the same report as the batch path — month partials of
+// the finished chain, merged — the streaming/batch seam contract at the
+// measure layer.
 func TestAccumulatorMatchesBatchAggregates(t *testing.T) {
 	c := buildChain(t, 10, 35) // 3.5 months on two miners
 	var fbs []flashbots.BlockRecord
@@ -52,7 +88,7 @@ func TestAccumulatorMatchesBatchAggregates(t *testing.T) {
 	}
 
 	streamed := acc.Report(in, nil)
-	batch := Build(in, nil)
+	batch := mergeMonths(t, in)
 	if !reflect.DeepEqual(streamed.Fig3, batch.Fig3) {
 		t.Errorf("Fig3 differs:\n stream %+v\n batch  %+v", streamed.Fig3, batch.Fig3)
 	}

@@ -20,29 +20,29 @@ import (
 	"mevscope/internal/types"
 )
 
-// Inputs carries everything the aggregations read. Observer may be nil
-// when no pending-transaction capture exists (Figure 9 and §6 are then
-// skipped).
+// Inputs carries everything the aggregations read. The §6 artifacts
+// (Figure 9 and after) also need an inferrer, passed alongside; without
+// one they are skipped.
 type Inputs struct {
 	Chain    *chain.Chain
 	FBBlocks []flashbots.BlockRecord
 	FBSet    map[types.Hash]flashbots.BundleType
 	Detect   *detect.Result
 	Profits  []profit.Record
-	Observer privinfer.Observer
 	// Vantages are the per-vantage observation logs of the whole
 	// observation network (Vantages[0] is the primary); empty when the
 	// run has no capture. The vantage-sensitivity artifact reads them.
 	Vantages []*p2p.Observer
-	// View names the observation view Observer was resolved from, for
-	// artifact labelling.
+	// View names the observation view the inferrer classifies against,
+	// for artifact labelling.
 	View string
 	WETH types.Address
 
-	// Workers sizes the aggregation worker pool (0 or 1 = sequential,
-	// <0 = runtime.NumCPU()). Every builder reads the inputs immutably and
-	// merges per-month partials in month order, so the report is identical
-	// for any worker count.
+	// Workers sizes the aggregate pass and the builder fan-out (0 or 1 =
+	// sequential, <0 = runtime.NumCPU()); batch analysis spends its
+	// workers on months and builds each month partial with one. Every
+	// builder reads the inputs immutably and merges per-month results in
+	// month order, so the report is identical for any worker count.
 	Workers int
 
 	// Span, when non-nil, is the parent the aggregate and build stages
@@ -538,15 +538,6 @@ type Report struct {
 	VantageSensitivity VantageSensitivity
 }
 
-// Build assembles the full report. inf may be nil when no observation
-// window exists. It is the batch path of the incremental Accumulator
-// seam: one parallel aggregate pass over the finished chain, then the
-// shared builder fan-out — exactly what a streamed accumulator snapshots
-// at the same height.
-func Build(in Inputs, inf *privinfer.Inferrer) *Report {
-	return accumulate(in, true).Report(in, inf)
-}
-
 // builderSpec declares one report artifact: its span label, the archive
 // columns a column-projected build of it needs (nil = the full dataset),
 // whether it needs the §6 inferrer, and the builder itself. Builders are
@@ -648,7 +639,7 @@ func buildWith(in Inputs, acc *Accumulator, inf *privinfer.Inferrer) *Report {
 // Report. Every requested artifact must be projectable (ProjectionColumns
 // non-nil); the inputs need only the columns the artifacts declare, so
 // callers feed it a column-projected dataset restore. The artifact values
-// it does build are identical to a full Build's.
+// it does build are identical to a full report's.
 func BuildProjection(in Inputs, artifacts []string) (*Report, error) {
 	var specs []builderSpec
 	for _, name := range artifacts {

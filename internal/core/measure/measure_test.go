@@ -261,7 +261,7 @@ func TestBuildNegativeProfits(t *testing.T) {
 func TestBuildFullReportWithoutObserver(t *testing.T) {
 	c := buildChain(t, 10, 30)
 	in := Inputs{Chain: c, Detect: &detect.Result{}, WETH: weth}
-	rep := Build(in, nil)
+	rep := mergeMonths(t, in)
 	if rep.Fig9 != nil {
 		t.Error("Fig9 should be nil without inferrer")
 	}

@@ -99,7 +99,10 @@ type Partial struct {
 // NewPartial freezes a single-month analysis. The inputs must cover
 // exactly one study month (the chain's first and last blocks fall in the
 // same month); inf may be nil when the month has no observation window.
-func NewPartial(in Inputs, inf *privinfer.Inferrer) (*Partial, error) {
+// cov is the Coverage of in.Vantages when the caller already holds it —
+// a batch run shares one dataset's vantage logs across every month and
+// computes their coverage once; nil computes it here.
+func NewPartial(in Inputs, inf *privinfer.Inferrer, cov *VantageSensitivity) (*Partial, error) {
 	if in.Chain == nil || in.Chain.Head() == nil {
 		return nil, fmt.Errorf("measure: partial needs a non-empty chain")
 	}
@@ -151,23 +154,31 @@ func NewPartial(in Inputs, inf *privinfer.Inferrer) (*Partial, error) {
 		p.HasVerdicts = true
 		p.SandwichVerdicts, p.ArbitrageVerdicts, p.LiquidationVerdicts = inf.Verdicts(in.Detect)
 	}
-	// The vantage analysis is computed under the globally-anchored
-	// timeline: a single-month restore is re-anchored at its month, and
-	// Timeline.MonthOfBlock clamps anything below the anchor to it —
-	// which would collapse earlier observation months into this one.
-	// Block numbering is calendar-aligned across anchorings
-	// (types.TimelineFrom), so un-anchoring recovers true months; the
-	// merge re-clamps them to the assembled range's own anchor,
+	p.Vantages = VantageSensitivity{View: in.View}
+	if len(in.Vantages) == 0 || in.Detect == nil {
+		return p, nil
+	}
+	// The vantage analysis runs under the calendar timeline: the month's
+	// own anchoring would clamp earlier observation months into this
+	// one. The merge re-clamps them to the assembled range's anchor,
 	// reproducing exactly what a full-range analysis computes.
-	gin := in
-	gtl := tl
-	gtl.StartBlock -= uint64(gtl.FirstMonth) * gtl.BlocksPerMonth
-	gtl.FirstMonth = 0
-	gc := *in.Chain
-	gc.Timeline = gtl
-	gin.Chain = &gc
-	p.Vantages = BuildVantageSensitivity(gin)
+	gtl := CalendarTimeline(tl)
+	if cov == nil {
+		c := Coverage(gtl, in.Vantages)
+		cov = &c
+	}
+	p.Vantages.Vantages = append([]VantageStat(nil), cov.Vantages...)
+	p.Vantages.Union = cov.Union
+	countPrivate(in, gtl.FirstBlockOfMonth(types.PrivateWindowStartMonth), &p.Vantages)
 	return p, nil
+}
+
+// CalendarTimeline is tl anchored at the study's first month, which
+// block numbering allows (types.TimelineFrom keeps it calendar-aligned).
+func CalendarTimeline(tl types.Timeline) types.Timeline {
+	tl.StartBlock -= uint64(tl.FirstMonth) * tl.BlocksPerMonth
+	tl.FirstMonth = 0
+	return tl
 }
 
 // SizeBytes estimates the partial's resident size for byte-accounted
@@ -209,10 +220,28 @@ func (p *Partial) SizeBytes() int64 {
 // MergePartials assembles the report of a contiguous month range from
 // its frozen partials. view labels the merged vantage-sensitivity
 // artifact (the observation view the partials were analyzed under);
-// workers and sp parameterize the builder fan-out exactly like a full
-// Build. The report is byte-identical to a full-range analysis of the
-// same months under the same view.
+// workers and sp parameterize the builder fan-out. The report is
+// byte-identical to a full-range analysis of the same months under the
+// same view.
 func MergePartials(parts []*Partial, view string, workers int, sp *obs.Span) (*Report, error) {
+	m, err := Merge(parts, view, workers, sp)
+	if err != nil {
+		return nil, err
+	}
+	return m.Report, nil
+}
+
+// Merged is an assembled month range: its report, the inputs the
+// builders ran over (no FBSet: no builder over partials reads it) and
+// the verdict-replaying inferrer (nil before the observation window).
+type Merged struct {
+	Inputs   Inputs
+	Inferrer *privinfer.Inferrer
+	Report   *Report
+}
+
+// Merge is MergePartials keeping the merged inputs.
+func Merge(parts []*Partial, view string, workers int, sp *obs.Span) (*Merged, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("measure: merge of zero partials")
 	}
@@ -277,13 +306,6 @@ func MergePartials(parts []*Partial, view string, workers int, sp *obs.Span) (*R
 		}
 		fb = append(fb, p.FBBlocks...)
 	}
-	fbset := make(map[types.Hash]flashbots.BundleType)
-	for i := range fb {
-		for _, tx := range fb[i].Txs {
-			fbset[tx.Hash] = tx.BundleType
-		}
-	}
-
 	// Profit records kind-major, each kind in month order — the exact
 	// emission order of the full-range resolver.
 	var nProf int
@@ -348,7 +370,6 @@ func MergePartials(parts []*Partial, view string, workers int, sp *obs.Span) (*R
 		if err != nil {
 			return nil, err
 		}
-		inf.FBSet = fbset
 		inf.Workers = workers
 		inf.Span = sp
 	}
@@ -356,7 +377,6 @@ func MergePartials(parts []*Partial, view string, workers int, sp *obs.Span) (*R
 	in := Inputs{
 		Chain:    c,
 		FBBlocks: fb,
-		FBSet:    fbset,
 		Detect:   res,
 		Profits:  profits,
 		View:     view,
@@ -383,7 +403,7 @@ func MergePartials(parts []*Partial, view string, workers int, sp *obs.Span) (*R
 		}
 		specs = append(specs, spec)
 	}
-	return runBuilders(in, acc, inf, specs), nil
+	return &Merged{Inputs: in, Inferrer: inf, Report: runBuilders(in, acc, inf, specs)}, nil
 }
 
 // mergeVantageSensitivity assembles the range's vantage-sensitivity

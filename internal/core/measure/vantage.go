@@ -65,50 +65,66 @@ func (v VantageSensitivity) Months() []types.Month {
 // vantage alone and against the union view. Zero-valued without
 // vantages (runs whose observation window never opened).
 func BuildVantageSensitivity(in Inputs) VantageSensitivity {
-	out := VantageSensitivity{View: in.View}
 	if len(in.Vantages) == 0 || in.Chain == nil || in.Chain.Head() == nil || in.Detect == nil {
-		return out
+		return VantageSensitivity{View: in.View}
 	}
-	head := in.Chain.Head().Header.Number
-	winStart := in.Chain.Timeline.FirstBlockOfMonth(types.PrivateWindowStartMonth)
-	stat := func(index, node int, view privinfer.Observer, perMonth map[types.Month]int, observed int) VantageStat {
-		inf := privinfer.New(in.Chain, view, in.FBSet, winStart, head)
-		private := 0
-		for _, s := range in.Detect.Sandwiches {
-			if ch, ok := inf.ClassifySandwich(s); ok && ch == privinfer.ChannelPrivate {
-				private++
-			}
+	out := Coverage(in.Chain.Timeline, in.Vantages)
+	out.View = in.View
+	countPrivate(in, in.Chain.Timeline.FirstBlockOfMonth(types.PrivateWindowStartMonth), &out)
+	return out
+}
+
+// Coverage is the observation half of the vantage analysis: each
+// vantage's and the union's distinct observation counts, overall and by
+// month under tl (private counts left zero). It reads every record of
+// every log, so batch analysis computes it once, not once per month.
+func Coverage(tl types.Timeline, vs []*p2p.Observer) VantageSensitivity {
+	stat := func(index, node int, o *p2p.Observer) VantageStat {
+		pm := map[types.Month]int{}
+		for _, rec := range o.Records() {
+			pm[tl.MonthOfBlock(rec.FirstSeenBlock)]++
 		}
-		return VantageStat{
-			Vantage: index, Node: node,
-			Observed: observed, PrivateSandwiches: private, PerMonth: perMonth,
-		}
+		return VantageStat{Vantage: index, Node: node, Observed: o.Count(), PerMonth: pm}
 	}
-	tl := in.Chain.Timeline
-	for i, v := range in.Vantages {
-		perMonth := map[types.Month]int{}
-		for _, rec := range v.Records() {
-			perMonth[tl.MonthOfBlock(rec.FirstSeenBlock)]++
-		}
-		out.Vantages = append(out.Vantages, stat(i, v.Node(), v, perMonth, v.Count()))
+	var out VantageSensitivity
+	for i, v := range vs {
+		out.Vantages = append(out.Vantages, stat(i, v.Node(), v))
 	}
-	if len(in.Vantages) == 1 {
-		// A one-vantage union is the vantage itself: skip the merge and
-		// the third classification sweep on the default single-observer
-		// path.
+	switch len(vs) {
+	case 0:
+	case 1: // a one-vantage union is the vantage itself
 		out.Union = out.Vantages[0]
 		out.Union.Vantage, out.Union.Node = -1, 0
-		return out
+	default:
+		// The union's monthly counts attribute each distinct transaction
+		// to its earliest first-seen block across vantages (Materialize's
+		// merge rule), so a tx two vantages saw in different months
+		// counts once.
+		out.Union = stat(-1, 0, p2p.Union(vs...).Materialize())
 	}
-	union := p2p.Union(in.Vantages...)
-	// The union's monthly counts attribute each distinct transaction to
-	// its earliest first-seen block across vantages (Materialize's merge
-	// rule), so a tx two vantages saw in different months counts once.
-	merged := union.Materialize()
-	unionPerMonth := map[types.Month]int{}
-	for _, rec := range merged.Records() {
-		unionPerMonth[tl.MonthOfBlock(rec.FirstSeenBlock)]++
-	}
-	out.Union = stat(-1, 0, union, unionPerMonth, merged.Count())
 	return out
+}
+
+// countPrivate fills the private-sandwich counts of a coverage: the
+// sandwiches of in.Detect in the window from winStart that the §6.1 rule
+// classifies private against each vantage alone and against the union.
+func countPrivate(in Inputs, winStart uint64, out *VantageSensitivity) {
+	head := in.Chain.Head().Header.Number
+	private := func(view privinfer.Observer) int {
+		inf := privinfer.New(in.Chain, view, in.FBSet, winStart, head)
+		n := 0
+		for _, s := range in.Detect.Sandwiches {
+			if ch, ok := inf.ClassifySandwich(s); ok && ch == privinfer.ChannelPrivate {
+				n++
+			}
+		}
+		return n
+	}
+	for i, v := range in.Vantages {
+		out.Vantages[i].PrivateSandwiches = private(v)
+	}
+	out.Union.PrivateSandwiches = out.Vantages[0].PrivateSandwiches // a one-vantage union
+	if len(in.Vantages) > 1 {
+		out.Union.PrivateSandwiches = private(p2p.Union(in.Vantages...))
+	}
 }

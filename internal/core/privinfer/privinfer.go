@@ -71,18 +71,13 @@ type Inferrer struct {
 	Workers int
 
 	// Span, when non-nil, is the parent each classification fan-out
-	// records itself under as an "infer" span (internal/obs). The memoized
-	// paths record nothing — they do no work. Nil disables tracing.
+	// records itself under as an "infer" span (internal/obs); answers
+	// from the verdict logs record nothing. Nil disables tracing.
 	Span *obspkg.Span
 
-	// Sandwich verdicts memoized per input slice: Figure 9, the MEV split
-	// and the §6.3 attribution all classify the same detector sweep, so
-	// the verdicts compute once and are shared (guarded for the
-	// concurrent report builders).
-	mu        sync.Mutex
-	cacheKey  *detect.Sandwich
-	cacheLen  int
-	cacheVerd []verdict
+	// mu guards the verdict logs: the report builders read them
+	// concurrently.
+	mu sync.Mutex
 
 	// Incremental verdict logs, maintained by Feed: verdicts for the first
 	// fedSand/fedArb/fedLiq detections of the streaming sweep. Verdicts
@@ -282,7 +277,9 @@ func FromVerdicts(c *chain.Chain, res *detect.Result, sand, arb, liq []Verdict) 
 		}
 		return out
 	}
-	in := &Inferrer{Chain: c, FBSet: map[types.Hash]flashbots.BundleType{}}
+	// With no observer and a window over every block, classifying what
+	// the logs do not cover panics instead of passing as out of window.
+	in := &Inferrer{Chain: c, FBSet: map[types.Hash]flashbots.BundleType{}, WindowEnd: ^uint64(0)}
 	in.sandLog, in.fedSand = imp(sand), len(sand)
 	in.arbLog, in.fedArb = imp(arb), len(arb)
 	in.liqLog, in.fedLiq = imp(liq), len(liq)
@@ -330,77 +327,44 @@ func (in *Inferrer) Feed(res *detect.Result) {
 	}
 }
 
-// classifySandwiches fans the §6.1 sandwich rule across the worker pool,
-// memoizing the verdicts per input slice. When the incremental Feed log
-// already covers the whole slice the logged verdicts are returned
-// directly — verdicts are stable, so both paths agree bit for bit. A
-// cache miss under concurrent first calls may classify twice; the results
-// are identical either way.
+// classifySandwiches applies the §6.1 sandwich rule to every sandwich.
 func (in *Inferrer) classifySandwiches(sandwiches []detect.Sandwich) []verdict {
-	var key *detect.Sandwich
-	if len(sandwiches) > 0 {
-		key = &sandwiches[0]
-	}
 	in.mu.Lock()
-	if in.fedSand > 0 && in.fedSand == len(sandwiches) && in.fedSandKey == key {
-		v := in.sandLog
-		in.mu.Unlock()
-		return v
-	}
-	if in.cacheVerd != nil && in.cacheKey == key && in.cacheLen == len(sandwiches) {
-		v := in.cacheVerd
-		in.mu.Unlock()
-		return v
-	}
+	fed, key, log := in.fedSand, in.fedSandKey, in.sandLog
 	in.mu.Unlock()
-	sp := in.Span.Child(obspkg.StageInfer)
-	sp.SetLabel("sandwiches")
-	sp.SetTxs(len(sandwiches))
-	v := parallel.MapSpan(sp, len(sandwiches), in.workers(), func(i int) verdict {
-		return in.sandwichVerdict(sandwiches[i])
-	})
-	sp.End()
-	in.mu.Lock()
-	in.cacheKey, in.cacheLen, in.cacheVerd = key, len(sandwiches), v
-	in.mu.Unlock()
-	return v
+	return classify(in, "sandwiches", sandwiches, fed, key, log, in.sandwichVerdict)
 }
 
-// classifyArbs classifies arbitrages, reusing the Feed log when it covers
-// the whole slice.
+// classifyArbs applies the plain transaction rule to every arbitrage.
 func (in *Inferrer) classifyArbs(arbs []detect.Arbitrage) []verdict {
 	in.mu.Lock()
-	if in.fedArb > 0 && in.fedArb == len(arbs) && in.fedArbKey == &arbs[0] {
-		v := in.arbLog
-		in.mu.Unlock()
-		return v
-	}
+	fed, key, log := in.fedArb, in.fedArbKey, in.arbLog
 	in.mu.Unlock()
-	sp := in.Span.Child(obspkg.StageInfer)
-	sp.SetLabel("arbitrages")
-	sp.SetTxs(len(arbs))
-	defer sp.End()
-	return parallel.MapSpan(sp, len(arbs), in.workers(), func(i int) verdict {
-		return in.arbVerdict(arbs[i])
-	})
+	return classify(in, "arbitrages", arbs, fed, key, log, in.arbVerdict)
 }
 
-// classifyLiqs classifies liquidations, reusing the Feed log when it
-// covers the whole slice.
+// classifyLiqs applies the plain transaction rule to every liquidation.
 func (in *Inferrer) classifyLiqs(liqs []detect.Liquidation) []verdict {
 	in.mu.Lock()
-	if in.fedLiq > 0 && in.fedLiq == len(liqs) && in.fedLiqKey == &liqs[0] {
-		v := in.liqLog
-		in.mu.Unlock()
-		return v
-	}
+	fed, key, log := in.fedLiq, in.fedLiqKey, in.liqLog
 	in.mu.Unlock()
+	return classify(in, "liquidations", liqs, fed, key, log, in.liqVerdict)
+}
+
+// classify serves xs from the Feed log (fed verdicts of the slice whose
+// first element is key) when it covers xs, else fans rule across the
+// worker pool under an "infer" span. Report builders' inferrers are fed
+// or replay verdicts (FromVerdicts), so they never classify.
+func classify[T any](in *Inferrer, label string, xs []T, fed int, key *T, log []verdict, rule func(T) verdict) []verdict {
+	if fed > 0 && fed == len(xs) && key == &xs[0] {
+		return log
+	}
 	sp := in.Span.Child(obspkg.StageInfer)
-	sp.SetLabel("liquidations")
-	sp.SetTxs(len(liqs))
+	sp.SetLabel(label)
+	sp.SetTxs(len(xs))
 	defer sp.End()
-	return parallel.MapSpan(sp, len(liqs), in.workers(), func(i int) verdict {
-		return in.liqVerdict(liqs[i])
+	return parallel.MapSpan(sp, len(xs), in.workers(), func(i int) verdict {
+		return rule(xs[i])
 	})
 }
 

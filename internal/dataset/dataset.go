@@ -13,6 +13,7 @@ package dataset
 
 import (
 	"fmt"
+	"sort"
 
 	"mevscope/internal/chain"
 	"mevscope/internal/flashbots"
@@ -99,6 +100,41 @@ func FBSetOf(records []flashbots.BlockRecord) map[types.Hash]flashbots.BundleTyp
 		}
 	}
 	return out
+}
+
+// Month returns study month m as a dataset of its own — what
+// archive.ReadRange(dir, m, m) restores from an archive of ds: the
+// month's blocks on a timeline anchored at the month, its Flashbots
+// records, and the vantages once the observation window has opened by
+// the month's last block. It copies nothing: the chain is chain.Month,
+// and the FBSet and vantage logs are ds's own where an archive restores
+// month-local ones. The pipeline cannot tell: it asks only about the
+// month's own transactions, and a transaction is never first seen
+// pending after it is mined. (Vantage coverage does read whole logs.)
+func (ds *Dataset) Month(m types.Month) (*Dataset, error) {
+	c := ds.Chain.Month(m)
+	head := c.Head()
+	if head == nil {
+		return nil, fmt.Errorf("dataset: no blocks in month %s", m.Label())
+	}
+	fb := ds.FBBlocks
+	lo := sort.Search(len(fb), func(i int) bool { return fb[i].BlockNumber >= c.Timeline.StartBlock })
+	hi := sort.Search(len(fb), func(i int) bool { return fb[i].BlockNumber > head.Header.Number })
+	out := &Dataset{
+		Chain:      c,
+		FBBlocks:   fb[lo:hi:hi],
+		FBSet:      ds.FBSet,
+		View:       ds.View,
+		Prices:     ds.Prices,
+		WETH:       ds.WETH,
+		Projection: ds.Projection,
+	}
+	if vs := ds.VantageList(); len(vs) > 0 {
+		if start, _ := vs[0].Window(); start <= head.Header.Number {
+			out.Observer, out.Vantages = vs[0], vs
+		}
+	}
+	return out, nil
 }
 
 // Segment is one study month's partition of a dataset: the blocks mined

@@ -6,6 +6,7 @@ package query_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -15,9 +16,10 @@ import (
 )
 
 // TestStageMetrics: one cold artifact build records every pipeline
-// stage — restore and decode on the archive side, detect/profit/
-// aggregate/build in the measurement core — plus the whole-build
-// "total", in both expositions; a cache hit adds nothing.
+// stage — restore and decode on the archive side, one month partial per
+// archived month with its detect/profit/aggregate stages, and the
+// merge's build in the measurement core — plus the whole-build "total",
+// in both expositions; a cache hit adds nothing.
 func TestStageMetrics(t *testing.T) {
 	srv := newServer(t, 4, nil)
 
@@ -28,7 +30,7 @@ func TestStageMetrics(t *testing.T) {
 	if !ok {
 		t.Fatal("metrics disabled on a default server")
 	}
-	for _, st := range []string{"total", "archive:restore", "archive:decode", "detect", "profit", "aggregate", "build"} {
+	for _, st := range []string{"total", "archive:restore", "archive:decode", "analyze:partial", "detect", "profit", "aggregate", "build"} {
 		sm, present := snap.Stages[st]
 		if !present || sm.Count == 0 {
 			t.Errorf("stage %q missing from snapshot after a cold build: %+v", st, snap.Stages)
@@ -36,6 +38,10 @@ func TestStageMetrics(t *testing.T) {
 	}
 	if tot := snap.Stages["total"]; tot.Count != 1 {
 		t.Errorf("total builds = %d, want 1", tot.Count)
+	}
+	months := snap.Stages["analyze:partial"].Count
+	if det := snap.Stages["detect"].Count; det != months {
+		t.Errorf("detect ran %d times over %d month partials, want once per month", det, months)
 	}
 	if snap.Runtime.Goroutines <= 0 || snap.Runtime.HeapAllocBytes == 0 {
 		t.Errorf("runtime gauges look unset: %+v", snap.Runtime)
@@ -49,7 +55,7 @@ func TestStageMetrics(t *testing.T) {
 	for _, want := range []string{
 		`# TYPE mevscope_stage_seconds histogram`,
 		`mevscope_stage_seconds_count{stage="total"} 1`,
-		`mevscope_stage_seconds_bucket{stage="detect",le="+Inf"} 1`,
+		fmt.Sprintf(`mevscope_stage_seconds_bucket{stage="detect",le="+Inf"} %d`, months),
 		`mevscope_stage_seconds_sum{stage="build"}`,
 		`mevscope_go_goroutines`,
 		`mevscope_go_heap_alloc_bytes`,

@@ -4,13 +4,13 @@
 // so a full report is available at any height without re-scanning
 // history.
 //
-// The follower is built entirely on the incremental seams of the
-// measurement core (detect.Scanner, profit.Tracker, privinfer.Feed,
-// measure.Accumulator), the same seams the batch pipeline runs on. That
-// shared seam is what makes the equivalence guarantee hold: after feeding
-// blocks [start, n], Report() is byte-identical to the batch
-// mevscope.AnalyzeDataset over the same world truncated at n — proved by
-// test at every month boundary.
+// The follower is built on the incremental seams of the measurement
+// core (detect.Scanner, profit.Tracker, privinfer.Feed,
+// measure.Accumulator); the batch pipeline runs the same code a month
+// at a time and merges the months' partials. That is what makes the
+// equivalence guarantee hold: after feeding blocks [start, n], Report()
+// is byte-identical to the batch mevscope.AnalyzeDataset over the same
+// world truncated at n — proved by test at every month boundary.
 //
 //	f := stream.ForSim(s, 0)
 //	for s.Chain.NextNumber() <= end {
@@ -83,7 +83,7 @@ func (f *Follower) SetSpan(sp *obspkg.Span) { f.span = sp }
 // New creates a follower over a (possibly still empty) chain. obs may be
 // nil when no pending-transaction capture exists; fbByNum may be nil when
 // the world has no Flashbots relay. workers sizes the snapshot worker
-// pool exactly like mevscope.AnalyzeWith (< 1 selects runtime.NumCPU()).
+// pool (< 1 selects runtime.NumCPU()).
 func New(c *chain.Chain, weth types.Address, pr *prices.Series, obs *p2p.Observer, fbByNum FBLookup, workers int) *Follower {
 	fbset := make(map[types.Hash]flashbots.BundleType)
 	f := &Follower{
@@ -263,62 +263,10 @@ func (f *Follower) MonthSegment(m types.Month) *dataset.Segment {
 // Timeline returns the follower's study timeline.
 func (f *Follower) Timeline() types.Timeline { return f.chain.Timeline }
 
-// MonthDataset extracts one month of the fed world as a standalone
-// dataset — exactly what archive.ReadRange(dir, m, m) would restore
-// from an archive of this world: the month's blocks on a timeline
-// re-anchored at the month, its Flashbots records (with a month-local
-// FBSet), and every vantage's observation log up to the month's end
-// (the cross-boundary rule: a transaction first seen near a month
-// boundary can be mined in the next month, so the logs are never
-// sliced from below). It is the live feed of the query layer's partial
-// cache: `mevscope serve -live` seals each completed month into a
-// measure.Partial at OnMonthEnd and re-analyzes only the open month
-// per snapshot, so snapshot cost stays proportional to one month
-// however long the history grows.
+// MonthDataset is Dataset().Month(m): one month of the fed world, which
+// shares the follower's blocks and logs until it is fed again.
 func (f *Follower) MonthDataset(m types.Month) (*dataset.Dataset, error) {
-	tl := f.chain.Timeline
-	blocks := f.chain.BlocksInMonth(m)
-	if len(blocks) == 0 {
-		return nil, fmt.Errorf("stream: no blocks fed for month %s", m.Label())
-	}
-	mtl := tl
-	mtl.StartBlock = tl.FirstBlockOfMonth(m)
-	mtl.FirstMonth = m
-	c := chain.New(mtl)
-	for _, b := range blocks {
-		if err := c.Append(b); err != nil {
-			return nil, fmt.Errorf("stream: month %s: %w", m.Label(), err)
-		}
-	}
-	fb := f.acc.FBBlocks()
-	lo := sort.Search(len(fb), func(i int) bool { return tl.MonthOfBlock(fb[i].BlockNumber) >= m })
-	hi := sort.Search(len(fb), func(i int) bool { return tl.MonthOfBlock(fb[i].BlockNumber) > m })
-	monthFB := append([]flashbots.BlockRecord(nil), fb[lo:hi]...)
-	ds := &dataset.Dataset{
-		Chain:    c,
-		FBBlocks: monthFB,
-		FBSet:    dataset.FBSetOf(monthFB),
-		Prices:   f.prices,
-		WETH:     f.weth,
-	}
-	if f.obs != nil {
-		start, stop := f.obs.Window()
-		head := c.Head().Header.Number
-		if (start > 0 || f.obs.Count() > 0) && start <= head {
-			vs := f.vantages
-			if len(vs) == 0 {
-				vs = []*p2p.Observer{f.obs}
-			}
-			for _, v := range vs {
-				recs := v.Records()
-				end := sort.Search(len(recs), func(i int) bool { return tl.MonthOfBlock(recs[i].FirstSeenBlock) > m })
-				ds.Vantages = append(ds.Vantages,
-					p2p.RestoreVantage(v.Node(), append([]p2p.ObservedTx(nil), recs[:end]...), start, stop))
-			}
-			ds.Observer = ds.Vantages[0]
-		}
-	}
-	return ds, nil
+	return f.Dataset().Month(m)
 }
 
 // Dataset returns the collected-measurement view of the fed world — the
@@ -356,7 +304,6 @@ func (f *Follower) Report() *measure.Report {
 		Span:    sp,
 	}
 	if f.inf != nil {
-		in.Observer = f.obs
 		in.Vantages = f.vantages
 	}
 	return f.acc.Report(in, f.inf)

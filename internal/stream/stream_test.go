@@ -54,7 +54,7 @@ func TestFollowerMatchesBatchFinal(t *testing.T) {
 	if got, want := f.Blocks(), uint64(s.Chain.Len()); got != want {
 		t.Fatalf("follower consumed %d blocks, chain has %d", got, want)
 	}
-	batch, err := mevscope.AnalyzeWith(s, 2)
+	batch, err := mevscope.AnalyzeDataset(dataset.FromSim(s), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestFollowerMonthBoundarySnapshots(t *testing.T) {
 		if err := s.Run(); err != nil {
 			t.Fatal(err)
 		}
-		batch, err := mevscope.AnalyzeWith(s, 1)
+		batch, err := mevscope.AnalyzeDataset(dataset.FromSim(s), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,7 +230,7 @@ func streamedMatchesBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batchStudy, err := mevscope.AnalyzeWith(s, 2)
+	batchStudy, err := mevscope.AnalyzeDataset(dataset.FromSim(s), 2)
 	if err != nil {
 		t.Fatal(err)
 	}

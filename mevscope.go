@@ -13,10 +13,11 @@
 //     transaction inference and the monthly aggregations behind every
 //     table and figure (internal/core).
 //
-// The measurement stage runs through a worker pool: blocks fan out across
-// runtime.NumCPU() workers (or Options.Parallelism) and partial results
-// merge deterministically by block number, so any worker count produces a
-// byte-identical report.
+// The measurement stage works month by month, like the paper's figures:
+// each study month analyzes into a month partial (measure.Partial), the
+// months fanned across runtime.NumCPU() workers (or
+// Options.Parallelism), and the partials merge in month order, so any
+// worker count produces a byte-identical report.
 //
 // Quick start:
 //
@@ -96,8 +97,8 @@ type Options struct {
 	// against: "", "vantage:N", "union" or "quorum:K". Empty defers to
 	// the scenario's view (the primary vantage for most).
 	View string
-	// Parallelism sizes the measurement worker pool; zero or negative
-	// selects runtime.NumCPU(), 1 forces the sequential path.
+	// Parallelism sizes the measurement worker pool (over months, then
+	// builders); < 1 selects runtime.NumCPU(), 1 is sequential.
 	Parallelism int
 	// Span, when non-nil, is the tracing parent the run records itself
 	// under (internal/obs): simulation sealing as a "sim" span with
@@ -171,8 +172,8 @@ type Study struct {
 	Detected *detect.Result
 	// Profits are the per-extraction economics.
 	Profits []profit.Record
-	// Inferrer is the §6 private-transaction classifier (nil when the run
-	// ends before the observation window opens).
+	// Inferrer is the §6 inference, replaying the months' verdicts (nil
+	// when the run ends before the observation window opens).
 	Inferrer *privinfer.Inferrer
 	// Report carries every table and figure.
 	Report *measure.Report
@@ -208,95 +209,79 @@ func Run(opts Options) (*Study, error) {
 	return st, nil
 }
 
-// Analyze runs the measurement pipeline over a completed simulation,
-// fanning per-block work across runtime.NumCPU() workers.
-func Analyze(s *sim.Sim) (*Study, error) {
-	return AnalyzeWith(s, -1)
-}
-
-// AnalyzeWith runs the measurement pipeline with an explicit worker-pool
-// size: detection fans blocks across workers, profit resolution fans
-// extractions, inference fans classifications and the report builders run
-// concurrently. Partial results merge deterministically (by block number,
-// then detector order), so every worker count — including 1, the fully
-// sequential path — produces a byte-identical report for the same
-// simulation. workers < 1 selects runtime.NumCPU().
-func AnalyzeWith(s *sim.Sim, workers int) (*Study, error) {
-	st, err := AnalyzeDataset(dataset.FromSim(s), workers)
-	if err != nil {
-		return nil, err
-	}
-	st.Sim = s
-	return st, nil
-}
-
 // AnalyzeDataset runs the measurement pipeline over a collected dataset —
-// the sim-independent entry point behind AnalyzeWith, the streaming
-// follower's snapshots and `mevscope analyze -from <dir>` (a dataset
-// restored by internal/archive). Study.Sim is nil in the result.
+// a simulation's (dataset.FromSim) or one restored by internal/archive.
+// Every worker count gives a byte-identical report; workers < 1 selects
+// runtime.NumCPU(). Study.Sim is nil in the result.
 func AnalyzeDataset(ds *dataset.Dataset, workers int) (*Study, error) {
 	return AnalyzeDatasetTraced(ds, workers, nil)
 }
 
 // AnalyzeDatasetTraced is AnalyzeDataset with the pipeline's flight
-// recorder attached: each measurement stage (detect, profit, aggregate,
-// build, infer) records a span — with block/tx counts, pool size and
-// per-worker busy time — under the given parent. A nil parent selects
-// the exact untraced path; the report is byte-identical either way.
+// recorder attached. Each month of ds (Dataset.Month) analyzes into a
+// measure.Partial like AnalyzeDatasetPartial, the months fanned across
+// the workers with one "analyze:partial" span each, and
+// measure.MergePartials assembles the report. A nil parent selects the
+// exact untraced path; the report is byte-identical either way.
 func AnalyzeDatasetTraced(ds *dataset.Dataset, workers int, sp *obs.Span) (*Study, error) {
-	if ds.Chain == nil || ds.Chain.Head() == nil {
-		return nil, fmt.Errorf("mevscope: dataset has no blocks")
-	}
-	if len(ds.Projection) > 0 {
-		return nil, fmt.Errorf("mevscope: dataset is a column projection (%s); the full pipeline needs a complete restore",
-			strings.Join(ds.Projection, ","))
-	}
-	workers = parallel.Workers(workers)
-	c := ds.Chain
-
-	res := detect.ScanParallelSpan(c, ds.WETH, c.Timeline.StartBlock, c.Head().Header.Number, workers, sp)
-	comp := profit.New(c, ds.Prices, ds.WETH, ds.FBSet)
-	profits := comp.ResolveAllParallelSpan(res, workers, sp)
-
-	in := measure.Inputs{
-		Chain:    c,
-		FBBlocks: ds.FBBlocks,
-		FBSet:    ds.FBSet,
-		Detect:   res,
-		Profits:  profits,
-		WETH:     ds.WETH,
-		Workers:  workers,
-		Vantages: ds.VantageList(),
-		View:     ds.View,
-		Span:     sp,
-	}
-	view, err := ds.ResolveView()
+	view, err := resolveView(ds)
 	if err != nil {
 		return nil, err
 	}
-	var inf *privinfer.Inferrer
-	if view != nil {
-		in.Observer = view
-		winStart := c.Timeline.FirstBlockOfMonth(types.PrivateWindowStartMonth)
-		inf = privinfer.New(c, view, ds.FBSet, winStart, c.Head().Header.Number)
-		inf.Workers = workers
-		inf.Span = sp
+	workers = parallel.Workers(workers)
+	tl := ds.Chain.Timeline
+	first := tl.MonthOfBlock(tl.StartBlock)
+	last := tl.MonthOfBlock(ds.Chain.Head().Header.Number)
+	// Every month shares the dataset's vantage logs, whose coverage
+	// reads every record: compute it once, not once per month.
+	cov := measure.Coverage(measure.CalendarTimeline(tl), ds.VantageList())
+	parts := make([]*measure.Partial, last-first+1)
+	errs := parallel.MapSpan(sp, len(parts), workers, func(i int) error {
+		m := first + types.Month(i)
+		psp := sp.Child(obs.StagePartial)
+		psp.SetLabel(m.Label())
+		defer psp.End()
+		mds, err := ds.Month(m)
+		if err == nil {
+			parts[i], err = analyzePartial(mds, view, 1, psp, &cov)
+		}
+		return err
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
-	report := measure.Build(in, inf)
-	return &Study{Detected: res, Profits: profits, Inferrer: inf, Report: report}, nil
+	merged, err := measure.Merge(parts, ds.View, workers, sp)
+	if err != nil {
+		return nil, err
+	}
+	return &Study{
+		Detected: merged.Inputs.Detect,
+		Profits:  merged.Inputs.Profits,
+		Inferrer: merged.Inferrer,
+		Report:   merged.Report,
+	}, nil
 }
 
 // AnalyzeDatasetPartial runs the measurement pipeline over a
-// single-month dataset and freezes the result as a measure.Partial —
-// the memoization unit of the query layer's partial cache. The dataset
-// must cover exactly one study month (an archive.ReadRange of [m, m]);
-// per the PR 3 cross-boundary rule its observation logs cover every
-// vantage up to the month's end, so the partial's inference verdicts
-// and coverage stats are exactly what a full-range analysis would
-// compute for that month. measure.MergePartials assembles contiguous
-// partials into a report byte-identical to AnalyzeDataset over the
-// same range.
+// single-month dataset (an archive.ReadRange of [m, m], or
+// Dataset.Month) and freezes the result as a measure.Partial — the unit
+// batch analysis merges, the query layer caches and live serving seals.
+// Its observation logs cover every vantage at least up to the month's
+// end, so the partial holds exactly what a full-range analysis computes
+// for the month.
 func AnalyzeDatasetPartial(ds *dataset.Dataset, workers int, sp *obs.Span) (*measure.Partial, error) {
+	view, err := resolveView(ds)
+	if err != nil {
+		return nil, err
+	}
+	return analyzePartial(ds, view, parallel.Workers(workers), sp, nil)
+}
+
+// resolveView refuses datasets the full pipeline cannot analyze and
+// resolves the observation view the rest classify against.
+func resolveView(ds *dataset.Dataset) (p2p.RecordView, error) {
 	if ds.Chain == nil || ds.Chain.Head() == nil {
 		return nil, fmt.Errorf("mevscope: dataset has no blocks")
 	}
@@ -304,10 +289,17 @@ func AnalyzeDatasetPartial(ds *dataset.Dataset, workers int, sp *obs.Span) (*mea
 		return nil, fmt.Errorf("mevscope: dataset is a column projection (%s); the full pipeline needs a complete restore",
 			strings.Join(ds.Projection, ","))
 	}
-	workers = parallel.Workers(workers)
-	c := ds.Chain
+	return ds.ResolveView()
+}
 
-	res := detect.ScanParallelSpan(c, ds.WETH, c.Timeline.StartBlock, c.Head().Header.Number, workers, sp)
+// analyzePartial is the measurement pipeline of one month: detection,
+// profit resolution and — once the month carries vantages, as months
+// before the observation window do not — §6 inference against view,
+// frozen into a partial. cov is passed through to measure.NewPartial.
+func analyzePartial(ds *dataset.Dataset, view p2p.RecordView, workers int, sp *obs.Span, cov *measure.VantageSensitivity) (*measure.Partial, error) {
+	c := ds.Chain
+	head := c.Head().Header.Number
+	res := detect.ScanParallelSpan(c, ds.WETH, c.Timeline.StartBlock, head, workers, sp)
 	comp := profit.New(c, ds.Prices, ds.WETH, ds.FBSet)
 	profits := comp.ResolveAllParallelSpan(res, workers, sp)
 
@@ -323,19 +315,14 @@ func AnalyzeDatasetPartial(ds *dataset.Dataset, workers int, sp *obs.Span) (*mea
 		View:     ds.View,
 		Span:     sp,
 	}
-	view, err := ds.ResolveView()
-	if err != nil {
-		return nil, err
-	}
 	var inf *privinfer.Inferrer
-	if view != nil {
-		in.Observer = view
+	if view != nil && len(in.Vantages) > 0 {
 		winStart := c.Timeline.FirstBlockOfMonth(types.PrivateWindowStartMonth)
-		inf = privinfer.New(c, view, ds.FBSet, winStart, c.Head().Header.Number)
+		inf = privinfer.New(c, view, ds.FBSet, winStart, head)
 		inf.Workers = workers
 		inf.Span = sp
 	}
-	return measure.NewPartial(in, inf)
+	return measure.NewPartial(in, inf, cov)
 }
 
 // AnalyzeDatasetProjection builds only the named report artifacts from a

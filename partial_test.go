@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 
 	"mevscope/internal/archive"
 	"mevscope/internal/core/measure"
+	"mevscope/internal/core/privinfer"
 	"mevscope/internal/dataset"
 	"mevscope/internal/sim"
 	"mevscope/internal/stream"
@@ -265,5 +268,62 @@ func TestMergePartialsRejectsGaps(t *testing.T) {
 	}
 	if _, err := measure.MergePartials(nil, "", 2, nil); err == nil {
 		t.Fatal("MergePartials accepted zero partials")
+	}
+}
+
+// TestMergedInferrerNeverReclassifies: a batch run's inferrer replays
+// the month partials' verdicts and holds no observer, so Figure 9, the
+// MEV split and the §6.3 links — run concurrently, as the builder
+// fan-out does — must be served from the replayed verdicts: a
+// reclassification would call the nil observer and panic. The replayed
+// answers must equal a live classification against the observer, and
+// under -race the test also checks the verdict logs' locking.
+func TestMergedInferrerNeverReclassifies(t *testing.T) {
+	st, err := Run(Options{Seed: 7, BlocksPerMonth: 40, Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inf := st.Inferrer
+	if inf == nil || inf.Obs != nil {
+		t.Fatalf("want a verdict-replaying inferrer with no observer, got %+v", inf)
+	}
+	c := st.Sim.Chain
+	live := privinfer.New(c, st.Sim.Net.Observer(), st.Sim.Relay.FlashbotsTxSet(),
+		c.Timeline.FirstBlockOfMonth(types.PrivateWindowStartMonth), c.Head().Header.Number)
+	if want := live.SplitSandwiches(st.Detected.Sandwiches); want.Total == 0 || st.Report.Fig9.Split != want {
+		t.Fatalf("report Figure 9 %+v, live classification %+v (want equal and non-empty)", st.Report.Fig9.Split, want)
+	}
+	if want := live.SplitAll(st.Detected); !reflect.DeepEqual(*st.Report.MEVSplit, want) {
+		t.Fatal("report MEV split differs from a live classification")
+	}
+	if want := live.LinkPrivateSandwiches(st.Detected.Sandwiches); !reflect.DeepEqual(st.Report.PrivateLinks, want) {
+		t.Fatal("report private links differ from a live classification")
+	}
+	in := measure.Inputs{Chain: inf.Chain, Detect: st.Detected}
+	const rounds = 4
+	var (
+		wg    sync.WaitGroup
+		fig9  [rounds]measure.Fig9
+		split [rounds]privinfer.MEVSplit
+		links [rounds][]privinfer.MinerLink
+	)
+	for i := 0; i < rounds; i++ {
+		i := i
+		wg.Add(3)
+		go func() { defer wg.Done(); fig9[i] = measure.BuildFigure9(in, inf) }()
+		go func() { defer wg.Done(); split[i] = inf.SplitAll(st.Detected) }()
+		go func() { defer wg.Done(); links[i] = inf.LinkPrivateSandwiches(st.Detected.Sandwiches) }()
+	}
+	wg.Wait()
+	for i := 0; i < rounds; i++ {
+		if fig9[i] != *st.Report.Fig9 {
+			t.Errorf("round %d: Figure 9 %+v, report has %+v", i, fig9[i], *st.Report.Fig9)
+		}
+		if !reflect.DeepEqual(split[i], *st.Report.MEVSplit) {
+			t.Errorf("round %d: MEV split differs from the report's", i)
+		}
+		if !reflect.DeepEqual(links[i], st.Report.PrivateLinks) {
+			t.Errorf("round %d: private links differ from the report's", i)
+		}
 	}
 }

@@ -4,11 +4,12 @@ import (
 	"bytes"
 	"testing"
 
+	"mevscope/internal/dataset"
 	"mevscope/internal/sim"
 )
 
 // TestAnalyzeParallelDeterminism is the pipeline's core guarantee: for a
-// fixed simulation, AnalyzeWith produces a byte-identical report for every
+// fixed simulation, AnalyzeDataset produces a byte-identical report for every
 // worker count, including the fully sequential path.
 func TestAnalyzeParallelDeterminism(t *testing.T) {
 	cfg := sim.DefaultConfig(99)
@@ -22,7 +23,7 @@ func TestAnalyzeParallelDeterminism(t *testing.T) {
 	}
 
 	render := func(workers int) []byte {
-		st, err := AnalyzeWith(s, workers)
+		st, err := AnalyzeDataset(dataset.FromSim(s), workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -41,14 +42,14 @@ func TestAnalyzeParallelDeterminism(t *testing.T) {
 		}
 	}
 	// The default path (NumCPU) must match too.
-	st, err := Analyze(s)
+	st, err := AnalyzeDataset(dataset.FromSim(s), -1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
 	st.WriteReport(&buf)
 	if !bytes.Equal(buf.Bytes(), sequential) {
-		t.Error("Analyze (default workers) differs from sequential")
+		t.Error("AnalyzeDataset (default workers) differs from sequential")
 	}
 }
 
@@ -64,11 +65,11 @@ func TestAnalyzeParallelStructuralEquality(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	seq, err := AnalyzeWith(s, 1)
+	seq, err := AnalyzeDataset(dataset.FromSim(s), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := AnalyzeWith(s, 5)
+	par, err := AnalyzeDataset(dataset.FromSim(s), 5)
 	if err != nil {
 		t.Fatal(err)
 	}

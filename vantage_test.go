@@ -183,7 +183,7 @@ func TestStreamMatchesBatchMultiVantage(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	batch, err := AnalyzeWith(s, 2)
+	batch, err := AnalyzeDataset(dataset.FromSim(s), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
